@@ -43,7 +43,7 @@ namespace lsr_bench {
 //                                    --prof-filter to pick one
 //   bench_cg --prof-filter 192       only profile points whose name contains
 //                                    the substring
-//   bench_cg --fuse on               launch-window fusion mode (off|on|auto)
+//   bench_cg --fuse on               launch-window fusion mode (off|on)
 //                                    for the Legate runtime points; fused
 //                                    launch counts appear as the
 //                                    fused_launches / fused_eliminated
@@ -75,7 +75,7 @@ struct ProfOptions {
   /// --partition rows|nnz|auto row-split strategy for the Legate runtime
   /// points (Unset: the runtime falls back to LSR_PARTITION, then rows).
   legate::rt::PartitionStrategy partition = legate::rt::PartitionStrategy::Unset;
-  /// --fuse off|on|auto launch-window fusion mode for the Legate runtime
+  /// --fuse off|on launch-window fusion mode for the Legate runtime
   /// points (Unset: the runtime falls back to LSR_FUSE, then off).
   legate::rt::Fusion fusion = legate::rt::Fusion::Unset;
   /// --comm off|plan|overlap communication-planner mode for the Legate
@@ -128,7 +128,7 @@ inline void init_prof_flags(int* argc, char** argv) {
       po.fusion = legate::rt::parse_fusion_mode(v6);
       if (po.fusion == legate::rt::Fusion::Unset) {
         std::cerr << "warning: unknown --fuse value '" << v6
-                  << "' (expected off|on|auto), using the runtime default\n";
+                  << "' (expected off|on), using the runtime default\n";
       }
     } else if (const char* v8 = value_of("--comm")) {
       po.comm = legate::comm::parse_comm_mode(v8);

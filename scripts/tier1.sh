@@ -18,7 +18,7 @@
 # runtime-wide row-split strategy (DESIGN.md §12) — CI runs a tier-1 leg
 # with LSR_PARTITION=nnz — and LSR_EXEC_THREADS sets the executor width for
 # the default preset (the asan/tsan presets pin their own thread counts but
-# still inherit LSR_PARTITION). LSR_FUSE=off|on|auto likewise selects the
+# still inherit LSR_PARTITION). LSR_FUSE=off|on likewise selects the
 # launch-window fusion mode for every preset — CI runs tier-1 and tsan legs
 # with LSR_FUSE=on (DESIGN.md §13). LSR_DIAG=off|on|abort-on-hang turns the
 # lsr_diag flight recorder + watchdog on for every test run (DESIGN.md §14)

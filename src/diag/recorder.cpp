@@ -242,8 +242,8 @@ thread_local ThreadRingCache t_ring_cache;
 }  // namespace
 
 FlightRecorder::FlightRecorder()
-    : uid_(g_next_uid.fetch_add(1, std::memory_order_relaxed)),
-      epoch_(std::chrono::steady_clock::now()) {}
+    : epoch_(std::chrono::steady_clock::now()),
+      uid_(g_next_uid.fetch_add(1, std::memory_order_relaxed)) {}
 
 FlightRecorder::~FlightRecorder() {
   unregister_crash_dump(this);

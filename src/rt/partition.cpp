@@ -25,7 +25,7 @@ PartitionStrategy parse_partition_strategy(const char* s) {
 
 std::uint64_t Partition::next_uid() {
   // Atomic only for safety; partitions are created on the control thread.
-  static std::atomic<std::uint64_t> counter{0};
+  static std::atomic<std::uint64_t> counter{1};
   return counter.fetch_add(1, std::memory_order_relaxed);
 }
 

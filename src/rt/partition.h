@@ -56,6 +56,12 @@ class Partition {
   /// time — depend on heap layout).
   [[nodiscard]] std::uint64_t uid() const { return uid_; }
 
+  /// Draw a fresh identity from the sequence the constructors use. Never 0,
+  /// so 0 can stand for "no partition". The simulated replay tracks
+  /// partition identities without materializing content (Runtime::sim_apply);
+  /// drawing them here keeps them from aliasing a real partition's uid.
+  static std::uint64_t next_uid();
+
   [[nodiscard]] int colors() const { return static_cast<int>(subs_.size()); }
   [[nodiscard]] Interval sub(int color) const { return subs_.at(color); }
   [[nodiscard]] const std::vector<Interval>& subs() const { return subs_; }
@@ -84,8 +90,6 @@ class Partition {
   }
 
  private:
-  static std::uint64_t next_uid();
-
   std::vector<Interval> subs_;
   std::vector<IntervalSet> precise_;  ///< empty, or one set per color
   bool disjoint_;

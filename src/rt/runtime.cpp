@@ -390,8 +390,8 @@ void Runtime::on_store_destroyed(detail::StoreImpl* impl) {
     met_.flips_overwritten.inc(static_cast<double>(it->second.size()));
     outstanding_flips_.erase(it);
   }
-  if ((pipeline_ || fusion_on_) && fuse_window_.empty()) {
-    // The id is unreachable from future launches; retire its eager state.
+  if (fuse_window_.empty()) {
+    // The id is unreachable from future launches; retire its issue-time state.
     // (Pending nodes stay alive through the pool queue and their records.)
     // With an open fusion window the retirement must wait: window members
     // referencing this store are not enqueued yet, and erasing the hazard
@@ -417,9 +417,7 @@ void Runtime::on_store_destroyed(detail::StoreImpl* impl) {
 void Runtime::retire_eager_state(StoreId id) {
   hazards_.erase(id);
   eager_epoch_.erase(id);
-  for (auto it = eager_images_.begin(); it != eager_images_.end();) {
-    it = it->first.src == id ? eager_images_.erase(it) : std::next(it);
-  }
+  erase_source(eager_images_, id);
 }
 
 void Runtime::release_store(StoreId id, double esize) {
@@ -437,6 +435,9 @@ void Runtime::release_store(StoreId id, double esize) {
     mem_state_[mem]->allocs.erase(it);
   }
   sync_.erase(id);
+  // Store ids are never reused, so the dead source's image accounting can
+  // never hit again.
+  erase_source(image_cache_, id);
   // Plans referencing the dead id must not survive: runs at the store's
   // stream position in both sequential and pipelined modes, so the hit/miss/
   // invalidation sequence is deterministic.
@@ -452,7 +453,8 @@ Runtime::SyncState& Runtime::sync(StoreId id) {
 PartitionRef Runtime::key_partition(const Store& s) {
   fence();  // key assignment happens during simulated replay
   auto it = sync_.find(s.id());
-  return it == sync_.end() ? nullptr : it->second->key;
+  if (it == sync_.end() || it->second->key_uid == 0) return nullptr;
+  return Partition::equal(s.basis(), it->second->key_colors);
 }
 
 namespace detail {
@@ -543,43 +545,21 @@ PartitionRef build_image_partition(const StoreView& src, const Partition& src_pa
 
 }  // namespace detail
 
-PartitionRef Runtime::image_partition(const detail::StoreView& src,
-                                      const PartitionRef& src_part,
-                                      ConstraintKind kind,
-                                      const PartitionRef& precomputed) {
-  auto& ss = sync(src.id);
-  ImageKey key{src.id, src_part->uid(), kind, ss.epoch};
-  if (auto it = image_cache_.find(key); it != image_cache_.end()) {
+std::uint64_t Runtime::image_identity(StoreId src, std::uint64_t src_part,
+                                      ConstraintKind kind) {
+  auto [it, miss] =
+      image_cache_.try_emplace(ImageKey{src, src_part, kind, sync(src).epoch}, 0);
+  if (!miss) {
     met_.image_hits.inc();
     return it->second;
   }
   met_.image_misses.inc();
-
   // Dependent partitioning runs on the runtime's control path.
   engine_->control_advance(5e-6, "dependent-partitioning");
-  // Deferred replay must not scan the canonical bytes (later launches have
-  // already overwritten them) — it injects the image computed eagerly at
-  // issue time, which saw exactly the data this stream position implies.
-  // Rewrap the injected image in a fresh Partition: an eager run builds a
-  // new object on every miss, and chained-image cache keys embed that
-  // object's uid, so reusing the memoized eager object (stable uid across
-  // launches) would turn downstream misses into hits and skew accounting.
-  PartitionRef part;
-  if (precomputed) {
-    std::vector<IntervalSet> precise;
-    if (precomputed->colors() > 0 && precomputed->precise(0) != nullptr) {
-      precise.reserve(precomputed->subs().size());
-      for (int c = 0; c < precomputed->colors(); ++c) precise.push_back(*precomputed->precise(c));
-    }
-    part = std::make_shared<const Partition>(precomputed->subs(), std::move(precise),
-                                             precomputed->disjoint());
-  } else {
-    part = detail::build_image_partition(src, *src_part, kind);
-  }
   ++partitions_created_;
   met_.partitions_created.inc();
-  image_cache_.emplace(key, part);
-  return part;
+  it->second = Partition::next_uid();
+  return it->second;
 }
 
 Runtime::Alloc& Runtime::find_or_create_alloc(const detail::StoreView& store,
@@ -1244,7 +1224,8 @@ double Runtime::shuffle(const Store& in, const Store& out,
     alloc.ready.assign(elem, done);
     max_done = std::max(max_done, done);
   }
-  sout.key = part;
+  sout.key_uid = part->uid();
+  sout.key_colors = P;
   sout.readers.clear();
   sin.readers.emplace_back(in.extent(), max_done);
   // The shuffle fully rewrites `out` from `in`: poison follows the source.
@@ -1314,48 +1295,40 @@ void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
   }
   double t_launch = engine_->control_advance(task_overhead_, R.name);
 
+  // ---- 1. Solve (sequential records not solved at issue) ----------------
+  if (R.eager_parts.empty()) eager_solve(R);
   const int nargs = static_cast<int>(R.args.size());
+  const int colors = R.colors;
+  const auto& point_ivs = R.ivs;
+  const auto& all_empty = R.all_empty;
 
-  // ---- 1. Choose the color count ----------------------------------------
-  int colors = R.forced_colors > 0 ? R.forced_colors : default_colors();
-  coord_t primary_basis = 0;
-  for (const auto& a : R.args) {
-    if (a.ckind == ConstraintKind::None && a.priv != Priv::Reduce) {
-      primary_basis = std::max(primary_basis, a.view.basis);
-    }
-  }
-  if (primary_basis > 0) {
-    colors = static_cast<int>(
-        std::min<coord_t>(colors, std::max<coord_t>(1, primary_basis)));
-  }
-  LSR_CHECK_MSG(!deferred || colors == R.colors,
-                "deferred color count diverged from eager solve");
-
-  // ---- 2. Solve partitioning constraints (Section 4.1) -------------------
-  std::vector<PartitionRef> parts(static_cast<std::size_t>(nargs));
-  // Alignment groups first: reuse a key partition of the largest member when
-  // it satisfies the constraints, else make a fresh equal partition.
+  // ---- 2. Partition accounting (Section 4.1) ----------------------------
+  // The content is solved; the replay tracks which partitions the runtime
+  // creates and reuses, by identity. ident[i] is argument i's partition
+  // identity (it keys the image accounting of chains); key_of[i] is the key
+  // identity its store adopts in Pass C (0 = keep the current key).
+  std::vector<std::uint64_t> ident(static_cast<std::size_t>(nargs), 0);
+  std::vector<std::uint64_t> key_of(static_cast<std::size_t>(nargs), 0);
+  auto fresh = [this] {
+    ++partitions_created_;
+    met_.partitions_created.inc();
+    return Partition::next_uid();
+  };
+  // Alignment groups: reuse a key partition of the largest member when it
+  // has the launch's color count, else make a fresh equal partition.
+  // Broadcast & reduce arguments get a new whole partition every launch.
   std::unordered_map<int, std::vector<int>> groups;
   for (int i = 0; i < nargs; ++i) {
     const auto& a = R.args[i];
     if (a.ckind == ConstraintKind::None && a.priv != Priv::Reduce) {
       groups[a.root].push_back(i);
+    } else if (a.ckind == ConstraintKind::Broadcast || a.priv == Priv::Reduce) {
+      ident[static_cast<std::size_t>(i)] = Partition::next_uid();
     }
   }
-  std::vector<char> from_pin(static_cast<std::size_t>(nargs), 0);
-  std::vector<PartitionRef> pin_key(static_cast<std::size_t>(nargs));
   bool any_pin = false;
   for (auto& [root, members] : groups) {
-    coord_t basis = R.args[members[0]].view.basis;
-    PartitionRef chosen;
-    PartitionRef pin;
-    for (int m : members) {
-      if (R.args[m].part) {
-        pin = R.args[m].part;
-        break;
-      }
-    }
-    PartitionRef keyed;
+    std::uint64_t keyed = 0;
     if (opts_.partition_reuse) {
       // Prefer the key partition of the largest store in the group
       // ("keep the largest region in place").
@@ -1364,54 +1337,38 @@ void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
         return R.args[x].view.volume > R.args[y].view.volume;
       });
       for (int m : order) {
-        auto key = sync(R.args[m].view.id).key;
-        if (key && key->colors() == colors && key->disjoint()) {
-          // The key partition must cover this basis exactly.
-          coord_t hi = 0;
-          for (auto& iv : key->subs()) hi = std::max(hi, iv.hi);
-          if (hi == basis) {
-            keyed = key;
-            break;
-          }
+        const auto& ss = sync(R.args[m].view.id);
+        if (ss.key_uid != 0 && ss.key_colors == colors) {
+          keyed = ss.key_uid;
+          break;
         }
       }
     }
-    if (pin) {
-      // Explicit pin (set_partition): the caller computed a strategy-specific
-      // split, e.g. nnz-balanced rows. Wins over key reuse for this launch,
-      // but the pin itself never becomes a key partition — keys stay
-      // structurally equal so the issue-time eager solve (which assumes
-      // equal splits for unpinned groups) keeps matching this replay. The
-      // group still adopts an equal-structured key (see Pass C) so later
-      // unpinned launches on the same stores reuse instead of re-creating.
-      LSR_CHECK_MSG(pin->colors() == colors,
-                    "explicit partition color count does not match the launch");
-      coord_t hi = 0;
-      for (const auto& iv : pin->subs()) hi = std::max(hi, iv.hi);
-      LSR_CHECK_MSG(hi == basis, "explicit partition does not cover the basis");
-      chosen = pin;
-      any_pin = true;
-      if (!keyed && opts_.partition_reuse) {
-        keyed = Partition::equal(basis, colors);
-        ++partitions_created_;
-        met_.partitions_created.inc();
-      }
-      for (int m : members) {
-        from_pin[static_cast<std::size_t>(m)] = 1;
-        pin_key[static_cast<std::size_t>(m)] = keyed;
-      }
+    std::uint64_t chosen;
+    std::uint64_t key;
+    const bool pinned = std::any_of(members.begin(), members.end(),
+                                    [&](int m) { return R.args[m].part != nullptr; });
+    if (pinned) {
+      // Explicit pin (set_partition): the caller's split, e.g. nnz-balanced
+      // rows, wins over key reuse but never becomes a key partition. The
+      // group adopts an equal-structured stand-in key instead, so later
+      // unpinned launches on the same stores reuse rather than re-create.
       // Pins are provided, not reused: they count toward the strategy
       // counters below, not the reuse hit/miss pair.
-    } else if (keyed) {
-      chosen = keyed;
+      any_pin = true;
+      chosen = R.eager_parts[static_cast<std::size_t>(members[0])]->uid();
+      key = keyed != 0 || !opts_.partition_reuse ? keyed : fresh();
+    } else if (keyed != 0) {
       met_.part_reuse_hits.inc();
+      chosen = key = keyed;
     } else {
       met_.part_reuse_misses.inc();
-      chosen = Partition::equal(basis, colors);
-      ++partitions_created_;
-      met_.partitions_created.inc();
+      chosen = key = fresh();
     }
-    for (int m : members) parts[m] = chosen;
+    for (int m : members) {
+      ident[static_cast<std::size_t>(m)] = chosen;
+      key_of[static_cast<std::size_t>(m)] = key;
+    }
   }
   // Strategy accounting for launches that have a primary (alignment-solved)
   // domain at all: did it run over equal row splits or an explicit
@@ -1419,53 +1376,25 @@ void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
   if (!groups.empty()) {
     (any_pin ? met_.part_strategy_nnz : met_.part_strategy_rows).inc();
   }
-  // Broadcast & reduce arguments see the whole store from every point.
-  for (int i = 0; i < nargs; ++i) {
-    const auto& a = R.args[i];
-    if (a.ckind == ConstraintKind::Broadcast || a.priv == Priv::Reduce) {
-      std::vector<Interval> whole(static_cast<std::size_t>(colors),
-                                  Interval{0, a.view.basis});
-      parts[i] = std::make_shared<const Partition>(std::move(whole), false);
-    }
-  }
-  // Image/halo constraints, iterated to handle chains (pos -> crd -> x).
-  for (int pass = 0; pass < nargs; ++pass) {
-    bool progress = false, pending = false;
+  // Halo partitions are rebuilt every launch; images go through the image
+  // accounting. Chains (pos -> crd -> x) resolve over repeated passes, in
+  // the order the solve resolved them.
+  for (bool pending = true; pending;) {
+    pending = false;
     for (int i = 0; i < nargs; ++i) {
       const auto& a = R.args[i];
-      if (a.ckind != ConstraintKind::ImageRects &&
-          a.ckind != ConstraintKind::ImagePoints && a.ckind != ConstraintKind::Halo)
-        continue;
-      if (parts[i]) continue;
-      if (!parts[a.image_src]) {
+      if (ident[static_cast<std::size_t>(i)] != 0 || a.image_src < 0) continue;
+      const std::uint64_t src = ident[static_cast<std::size_t>(a.image_src)];
+      if (src == 0) {
         pending = true;
-        continue;
-      }
-      if (a.ckind == ConstraintKind::Halo) {
-        std::vector<Interval> subs;
-        subs.reserve(parts[a.image_src]->colors());
-        for (const Interval& s : parts[a.image_src]->subs()) {
-          if (s.empty()) {
-            subs.emplace_back();
-            continue;
-          }
-          Interval expanded{s.lo + a.halo_lo, s.hi + a.halo_hi};
-          subs.push_back(expanded.intersect({0, a.view.basis}));
-        }
-        parts[i] = std::make_shared<const Partition>(std::move(subs), false);
-        ++partitions_created_;
-        met_.partitions_created.inc();
       } else {
-        parts[i] = image_partition(
-            R.args[a.image_src].view, parts[a.image_src], a.ckind,
-            deferred ? R.eager_parts[static_cast<std::size_t>(i)] : nullptr);
+        ident[static_cast<std::size_t>(i)] =
+            a.ckind == ConstraintKind::Halo
+                ? fresh()
+                : image_identity(R.args[a.image_src].view.id, src, a.ckind);
       }
-      progress = true;
     }
-    if (!pending) break;
-    LSR_CHECK_MSG(progress || !pending, "cyclic image constraints");
   }
-  for (int i = 0; i < nargs; ++i) LSR_CHECK_MSG(parts[i] != nullptr, "unsolved arg");
 
   // Pin this launch's stores so OOM spilling never evicts in-flight
   // arguments, and compute launch-level poison: a poisoned future dependence
@@ -1478,31 +1407,13 @@ void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
     }
   }
 
-  // Per-point basis intervals. For a deferred launch these must match what
-  // the eager solve used — the proof that key-partition reuse only ever
-  // reuses structurally-equal partitions, checked here at runtime.
-  std::vector<std::vector<Interval>> point_ivs(static_cast<std::size_t>(colors));
-  std::vector<char> all_empty(static_cast<std::size_t>(colors), 1);
-  for (int c = 0; c < colors; ++c) {
-    auto& ivs = point_ivs[static_cast<std::size_t>(c)];
-    ivs.resize(static_cast<std::size_t>(nargs));
-    for (int i = 0; i < nargs; ++i) {
-      ivs[i] = parts[i]->sub(c).intersect({0, R.args[i].view.basis});
-      if (!ivs[i].empty() && R.args[i].ckind != ConstraintKind::Broadcast) {
-        all_empty[static_cast<std::size_t>(c)] = 0;
-      }
-    }
-    if (deferred) {
-      for (int i = 0; i < nargs; ++i) {
-        LSR_CHECK_MSG(ivs[i] == R.ivs[static_cast<std::size_t>(c)][i],
-                      "deferred point intervals diverged from eager solve");
-      }
-    }
-  }
   if (!deferred) {
-    R.colors = colors;
-    R.ivs = point_ivs;
-    R.all_empty = all_empty;
+    // The leaves below rewrite what this launch writes: memoized images of
+    // those stores are stale from here on (the pipelined path bumps at
+    // enqueue).
+    for (const auto& a : R.args) {
+      if (a.priv != Priv::Read) ++eager_epoch_[a.view.id];
+    }
     // Run the leaf bodies for real (inline, or parallel-for on the pool).
     // Leaves touch no simulated state, so running them before the
     // dependence/accounting passes keeps the engine-op sequence identical
@@ -1578,8 +1489,7 @@ void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
     // per-link transfers instead; canonical results are identical. The
     // planner never runs with fault injection, so the retry loop in the
     // per-piece path has no comm counterpart.
-    comm_pass_b(R, parts, point_ivs, all_empty, dep_time, completion,
-                point_mem, partials, max_completion);
+    comm_pass_b(R, dep_time, completion, point_mem, partials, max_completion);
   } else {
   for (int c = 0; c < colors; ++c) {
     // Mapper: consistent color -> processor assignment across libraries.
@@ -1601,7 +1511,7 @@ void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
       Interval elem{iv.lo * a.view.stride, iv.hi * a.view.stride};
       bool discard = a.priv == Priv::WriteDiscard;
       const IntervalSet* precise =
-          a.view.stride == 1 ? parts[i]->precise(c) : nullptr;
+          a.view.stride == 1 ? R.eager_parts[i]->precise(c) : nullptr;
       data_ready = std::max(
           data_ready, ensure_in_memory(a.view, elem, proc.mem, discard, precise));
     }
@@ -1715,16 +1625,11 @@ void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
         poisoned_stores_.erase(a.view.id);
       }
     }
-    // Track the key partition of written stores for future reuse. Pinned
-    // groups adopt the equal-structured stand-in instead of the pin itself:
-    // a balanced split as a key would leak into later launches the
-    // issue-time eager solve cannot predict.
-    if (a.ckind == ConstraintKind::None) {
-      if (from_pin[static_cast<std::size_t>(i)] == 0) {
-        ss.key = parts[i];
-      } else if (pin_key[static_cast<std::size_t>(i)]) {
-        ss.key = pin_key[static_cast<std::size_t>(i)];
-      }
+    // Track the key partition of written stores for future reuse (pinned
+    // groups adopt their equal-structured stand-in, never the pin).
+    if (key_of[static_cast<std::size_t>(i)] != 0) {
+      ss.key_uid = key_of[static_cast<std::size_t>(i)];
+      ss.key_colors = colors;
     }
   }
   // Reads register for WAR tracking; read-only stores also adopt the
@@ -1741,12 +1646,9 @@ void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
       if (!elem.empty())
         ss.readers.emplace_back(elem, completion[static_cast<std::size_t>(c)]);
     }
-    if (a.ckind == ConstraintKind::None && !ss.key) {
-      if (from_pin[static_cast<std::size_t>(i)] == 0) {
-        ss.key = parts[i];
-      } else if (pin_key[static_cast<std::size_t>(i)]) {
-        ss.key = pin_key[static_cast<std::size_t>(i)];
-      }
+    if (ss.key_uid == 0 && key_of[static_cast<std::size_t>(i)] != 0) {
+      ss.key_uid = key_of[static_cast<std::size_t>(i)];
+      ss.key_colors = colors;
     }
   }
 

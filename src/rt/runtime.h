@@ -143,8 +143,7 @@ class TaskLauncher {
   /// over nnz-balanced row splits instead of the equal default. Explicit
   /// partitions win over key-partition reuse but are never adopted as key
   /// partitions themselves, so downstream dense launches keep their equal
-  /// splits (and the issue-time eager solve stays in lock-step with the
-  /// simulated solve).
+  /// splits.
   void set_partition(int arg, PartitionRef p);
 
   /// Request a scalar reduction combined across point tasks.
@@ -209,16 +208,15 @@ enum class Integrity {
 };
 
 /// Task & kernel fusion policy (src/fuse). See DESIGN.md "Task & kernel
-/// fusion". `Auto` is reserved for future heuristics and currently behaves
-/// like `On`.
+/// fusion".
 enum class Fusion {
-  Unset,  ///< read LSR_FUSE (`off|on|auto`), defaulting to Off
+  Unset,  ///< read LSR_FUSE (`off|on`), defaulting to Off
   Off,
   On,
-  Auto,
 };
 
-/// Parse `off|0|on|1|auto` (anything else = Unset → default).
+/// Parse `off|0|on|1` (`auto`, an older spelling, also means On; anything
+/// else = Unset → default).
 [[nodiscard]] Fusion parse_fusion_mode(const char* s);
 [[nodiscard]] const char* fusion_mode_name(Fusion f);
 
@@ -260,7 +258,7 @@ struct RuntimeOptions {
   /// via CsrMatrix::set_partition_strategy.
   PartitionStrategy partition = PartitionStrategy::Unset;
   /// Task & kernel fusion over the deferred launch window (src/fuse).
-  /// Unset reads the LSR_FUSE environment variable (`off|on|auto`),
+  /// Unset reads the LSR_FUSE environment variable (`off|on`),
   /// defaulting to Off. Fault injection disables fusion (like pipelining,
   /// its retry/poison bookkeeping must observe each launch individually);
   /// everything else — pipelining, partition pins, integrity, checkpoints —
@@ -358,9 +356,15 @@ class Runtime {
   [[nodiscard]] std::size_t pending_launches() const {
     return sim_queue_.size() + fuse_window_.size();
   }
+  /// Dependent-partition cache entries (test hook): the issue-time image
+  /// memo plus the replay's image accounting. Both drop a store's entries
+  /// once it is released, so the count tracks live sources only.
+  [[nodiscard]] std::size_t image_cache_entries() const {
+    return eager_images_.size() + image_cache_.size();
+  }
 
   // -- fusion ----------------------------------------------------------------
-  /// Whether the fusion pass is active (mode on/auto and fault injection
+  /// Whether the fusion pass is active (mode on and fault injection
   /// off). Resolved once in the constructor.
   [[nodiscard]] bool fusion_enabled() const { return fusion_on_; }
   /// Resolved fusion mode (never Unset).
@@ -422,7 +426,9 @@ class Runtime {
     return engine_->makespan();
   }
 
-  /// Key partition currently tracked for a store (may be null).
+  /// Key partition currently tracked for a store (may be null). Keys are
+  /// equal splits of the store's basis; the result has the key's content,
+  /// not its identity.
   [[nodiscard]] PartitionRef key_partition(const Store& s);
 
   /// Number of partitions materialized so far (ablation metric).
@@ -493,9 +499,12 @@ class Runtime {
   struct Alloc;
   struct MemState;
 
-  PartitionRef image_partition(const detail::StoreView& src,
-                               const PartitionRef& src_part, ConstraintKind kind,
-                               const PartitionRef& precomputed);
+  /// Image accounting: identity of the dependent partition of `src` under
+  /// the partition identity `src_part`. A miss charges the dependent-
+  /// partitioning control time and counts a created partition; the content
+  /// itself comes from the issue-time solve.
+  std::uint64_t image_identity(StoreId src, std::uint64_t src_part,
+                               ConstraintKind kind);
   /// Ensure `elem` of `store` is materialized in memory `mem`; returns the
   /// simulated time at which the data is valid there. `discard` skips
   /// staleness copies (write-only outputs); `precise`, when given, restricts
@@ -508,18 +517,21 @@ class Runtime {
   // -- execution backend internals ------------------------------------------
   /// Copy a launcher into a self-contained record (views, leaf, flags).
   std::shared_ptr<detail::LaunchRecord> make_record(TaskLauncher& L);
-  /// Issue-time constraint solving for a deferred launch: colors, concrete
-  /// partitions (images computed from real data, waiting on pending writers
-  /// of the source), per-point intervals. Touches no simulated state.
+  /// The launch's constraint solve, the only code that computes partition
+  /// content: colors, pin resolution and validation, equal/whole/halo/image
+  /// partitions (images read real data, after waiting on pending writers of
+  /// the source), per-point intervals. Runs at issue for deferred and
+  /// fusion-window records, else inside sim_apply. Touches no simulated
+  /// state.
   void eager_solve(detail::LaunchRecord& R);
   /// Run the launch's leaf bodies for real (inline, or parallel-for on the
   /// pool) and fold Reduce partials in fixed color order.
   void run_leaves(detail::LaunchRecord& R);
-  /// The launch's simulated half: constraint solve (with key-partition
-  /// reuse and image caching), dependence analysis, staging, time
-  /// accounting, write publication — a faithful replay of the sequential
-  /// execute() body consuming the recorded per-point costs. When
-  /// `deferred`, leaves already ran; otherwise runs them in place.
+  /// The launch's simulated half: partition accounting (key-partition
+  /// reuse and image caching over the solved content), dependence analysis,
+  /// staging, time accounting, write publication, consuming the recorded
+  /// per-point costs. When `deferred`, leaves already ran; otherwise solves
+  /// the record (if not yet solved) and runs them in place.
   void sim_apply(detail::LaunchRecord& R, bool deferred);
   /// Submit the record's real work as a task-graph node with dependence
   /// edges from the per-store reader/writer hazard state.
@@ -546,9 +558,6 @@ class Runtime {
   /// interior/boundary phases under Overlap). Bit-identical canonical
   /// results to the per-piece path — only simulated copy ops differ.
   void comm_pass_b(detail::LaunchRecord& R,
-                   const std::vector<PartitionRef>& parts,
-                   const std::vector<std::vector<Interval>>& point_ivs,
-                   const std::vector<char>& all_empty,
                    const std::vector<double>& dep_time,
                    std::vector<double>& completion, std::vector<int>& point_mem,
                    std::vector<double>& partials, double& max_completion);
@@ -569,7 +578,7 @@ class Runtime {
   /// Simulated release accounting for an out-of-scope store (deferred to
   /// its stream position when the pipeline is non-empty).
   void release_store(StoreId id, double esize);
-  /// Drop a dead store's hazard entry and eager memo state. Must not run
+  /// Drop a dead store's hazard entry and issue-time memo state. Must not run
   /// while an open fusion window still holds launches referencing the id:
   /// their enqueue at flush resolves dependence edges through hazards_.
   void retire_eager_state(StoreId id);
@@ -637,7 +646,16 @@ class Runtime {
              std::tie(o.src, o.part, o.kind, o.epoch);
     }
   };
-  std::map<ImageKey, PartitionRef> image_cache_;
+  /// Erase every entry of `cache` whose source is `id` (keys sort by source
+  /// first, so that is one contiguous range).
+  template <typename V>
+  static void erase_source(std::map<ImageKey, V>& cache, StoreId id) {
+    cache.erase(cache.lower_bound({id, 0, ConstraintKind::None, 0}),
+                cache.lower_bound({id + 1, 0, ConstraintKind::None, 0}));
+  }
+  /// Replay image accounting: (source, source identity, kind, SyncState
+  /// epoch) -> identity of the image partition. Identities only, no content.
+  std::map<ImageKey, std::uint64_t> image_cache_;
   long partitions_created_{0};
 
   // -- execution backend state ----------------------------------------------
@@ -654,10 +672,10 @@ class Runtime {
     std::vector<exec::NodeRef> readers;  ///< readers since that writer
   };
   std::unordered_map<StoreId, Hazard> hazards_;
-  /// Bumped whenever a store's real bytes may change (writer node enqueued,
-  /// external span access); keys the eager image cache.
+  /// Bumped whenever a store's real bytes may change (writer issued,
+  /// external span access); keys the issue-time image memo.
   std::unordered_map<StoreId, std::uint64_t> eager_epoch_;
-  std::map<ImageKey, PartitionRef> eager_images_;
+  std::map<ImageKey, PartitionRef> eager_images_;  ///< image content memo
   std::map<std::pair<coord_t, int>, PartitionRef> eager_equal_;  ///< (basis, colors)
   std::map<std::pair<coord_t, int>, PartitionRef> eager_whole_;  ///< broadcast/reduce
 

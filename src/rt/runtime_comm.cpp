@@ -38,10 +38,7 @@ void Runtime::comm_invalidate(StoreId id) {
   if (n > 0) met_.comm_plan_invalidations.inc(static_cast<double>(n));
 }
 
-void Runtime::comm_pass_b(LaunchRecord& R, const std::vector<PartitionRef>& parts,
-                          const std::vector<std::vector<Interval>>& point_ivs,
-                          const std::vector<char>& all_empty,
-                          const std::vector<double>& dep_time,
+void Runtime::comm_pass_b(LaunchRecord& R, const std::vector<double>& dep_time,
                           std::vector<double>& completion,
                           std::vector<int>& point_mem,
                           std::vector<double>& partials, double& max_completion) {
@@ -49,6 +46,9 @@ void Runtime::comm_pass_b(LaunchRecord& R, const std::vector<PartitionRef>& part
   const int colors = R.colors;
   const int nargs = static_cast<int>(R.args.size());
   const int nprocs = machine_.num_procs();
+  const auto& parts = R.eager_parts;
+  const auto& point_ivs = R.ivs;
+  const auto& all_empty = R.all_empty;
 
   std::vector<int> mem_node(machine_.memories().size(), 0);
   for (const auto& m : machine_.memories()) {
@@ -103,8 +103,9 @@ void Runtime::comm_pass_b(LaunchRecord& R, const std::vector<PartitionRef>& part
   }
 
   // ---- Structural plan key ------------------------------------------------
-  // Partition *content* (sub-intervals + precise runs), never uids: the
-  // runtime rebuilds broadcast/halo/equal Partition objects every launch.
+  // Partition *content* (sub-intervals + precise runs), never uids: equal
+  // content can come from different Partition objects (halo partitions are
+  // rebuilt every launch, pins are the caller's own).
   // Store ids are excluded too — solvers rotate temporaries each iteration
   // while the exchange structure stays fixed; the signature below binds the
   // plan to the actual store states.

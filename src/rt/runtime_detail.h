@@ -47,12 +47,15 @@ struct LaunchRecord {
   double future_dep{0};
   bool poisoned_dep{false};
 
-  // -- filled by the eager solve (issue time) --------------------------------
-  int colors{1};
   bool parallel_safe{true};  ///< points may run concurrently (make_record)
   bool wall_prof{false};     ///< stamp real wall-clock times per point
   std::chrono::steady_clock::time_point wall_epoch{};
-  std::vector<PartitionRef> eager_parts;   ///< per arg
+
+  // -- filled by eager_solve, the one constraint solve -----------------------
+  // Partition content for every consumer: the leaves, fusion legality, and
+  // the replay's staging and accounting (which adds identities, not content).
+  int colors{1};
+  std::vector<PartitionRef> eager_parts;   ///< per arg; empty until solved
   std::vector<std::vector<Interval>> ivs;  ///< [color][arg], basis units
   std::vector<char> all_empty;             ///< per color: no real work
 
@@ -82,8 +85,7 @@ struct LaunchRecord {
 /// Structural image-partition computation: scan the source argument's real
 /// data under `src_part` and build the image (bounding interval + precise
 /// touched set for sparse point images). Pure — no engine time, no caches,
-/// no counters; both the eager solve and the simulated replay route through
-/// this.
+/// no counters; called only by the constraint solve (Runtime::eager_solve).
 PartitionRef build_image_partition(const StoreView& src, const Partition& src_part,
                                    ConstraintKind kind);
 

@@ -39,18 +39,10 @@ void Runtime::sync_store_access(StoreId id) {
                        impl->data->size());
     }
   }
-  if (!pipeline_) {
-    // Sequential fusion mode still memoizes eager images off real bytes:
-    // the returned span is mutable, so they must not be reused.
-    if (fusion_on_) ++eager_epoch_[id];
-    // The caller may mutate the canonical bytes through the returned span;
-    // cached exchange plans signed against this store's state are stale.
-    comm_invalidate(id);
-    return;
-  }
   drain_sim_queue();
   // The returned span is mutable: assume the caller changes the bytes, so
-  // eagerly computed images of this store must not be reused.
+  // memoized images of this store must not be reused, and cached exchange
+  // plans signed against its state are stale.
   ++eager_epoch_[id];
   comm_invalidate(id);
 }
@@ -136,7 +128,8 @@ std::shared_ptr<LaunchRecord> Runtime::make_record(TaskLauncher& L) {
 void Runtime::eager_solve(LaunchRecord& R) {
   const int nargs = static_cast<int>(R.args.size());
 
-  // Color count: same formula as the simulated solve (constants only).
+  // Color count: the launch's own or the machine's, capped by the largest
+  // alignment-solved basis.
   int colors = R.forced_colors > 0 ? R.forced_colors : default_colors();
   coord_t primary_basis = 0;
   for (const auto& a : R.args) {
@@ -150,42 +143,42 @@ void Runtime::eager_solve(LaunchRecord& R) {
   }
   R.colors = colors;
 
-  // Every key partition the simulated solve can reuse is structurally an
-  // equal partition of its basis (equal partitions and shuffle keys are the
-  // only partitions ever assigned as keys, inductively), so the eager solve
-  // skips the reuse machinery and uses equal-partition math directly. The
-  // replay asserts the resulting intervals match (sim_apply).
+  // Every key partition the replay can reuse is structurally an equal
+  // partition of its basis (fresh equal partitions, pin stand-ins and
+  // shuffle layouts are the only partitions ever assigned as keys), so the
+  // content of an unpinned alignment group is always the equal split; which
+  // identity it carries is the replay's business (sim_apply).
   auto equal_part = [&](coord_t basis) {
-    auto key = std::make_pair(basis, colors);
-    auto it = eager_equal_.find(key);
-    if (it == eager_equal_.end()) {
-      it = eager_equal_.emplace(key, Partition::equal(basis, colors)).first;
-    }
+    auto [it, miss] = eager_equal_.try_emplace({basis, colors});
+    if (miss) it->second = Partition::equal(basis, colors);
     return it->second;
   };
   auto whole_part = [&](coord_t basis) {
-    auto key = std::make_pair(basis, colors);
-    auto it = eager_whole_.find(key);
-    if (it == eager_whole_.end()) {
-      std::vector<Interval> whole(static_cast<std::size_t>(colors),
-                                  Interval{0, basis});
-      it = eager_whole_
-               .emplace(key, std::make_shared<const Partition>(std::move(whole),
-                                                               false))
-               .first;
+    auto [it, miss] = eager_whole_.try_emplace({basis, colors});
+    if (miss) {
+      it->second = std::make_shared<const Partition>(
+          std::vector<Interval>(static_cast<std::size_t>(colors), Interval{0, basis}),
+          false);
     }
     return it->second;
   };
 
   // Explicit pins (set_partition) apply to the pinned argument's whole
-  // alignment group — first pin per group wins, in argument order, exactly
-  // as the simulated solve resolves them.
+  // alignment group — first pin per group wins, in argument order.
   std::map<int, PartitionRef> pins;
   for (int i = 0; i < nargs; ++i) {
     const auto& a = R.args[i];
     if (a.part && a.ckind == ConstraintKind::None && a.priv != Priv::Reduce) {
       pins.emplace(a.root, a.part);
     }
+  }
+  for (const auto& [root, pin] : pins) {
+    LSR_CHECK_MSG(pin->colors() == colors,
+                  "explicit partition color count does not match the launch");
+    coord_t hi = 0;
+    for (const auto& iv : pin->subs()) hi = std::max(hi, iv.hi);
+    LSR_CHECK_MSG(hi == R.args[root].view.basis,
+                  "explicit partition does not cover the basis");
   }
 
   std::vector<PartitionRef> parts(static_cast<std::size_t>(nargs));
@@ -278,7 +271,8 @@ void Runtime::enqueue_record(const std::shared_ptr<LaunchRecord>& R) {
       h.readers.push_back(node);
     } else {
       // WriteDiscard / ReadWrite / Reduce all rewrite real bytes (the reduce
-      // write-back happens inside run_leaves).
+      // write-back happens inside run_leaves); sequential launches bump the
+      // epoch in sim_apply instead.
       h.writer = node;
       h.readers.clear();
       ++eager_epoch_[a.view.id];

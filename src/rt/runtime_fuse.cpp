@@ -25,8 +25,7 @@ Fusion parse_fusion_mode(const char* s) {
   std::transform(v.begin(), v.end(), v.begin(),
                  [](unsigned char c) { return std::tolower(c); });
   if (v == "off" || v == "0") return Fusion::Off;
-  if (v == "on" || v == "1") return Fusion::On;
-  if (v == "auto") return Fusion::Auto;
+  if (v == "on" || v == "1" || v == "auto") return Fusion::On;
   return Fusion::Unset;
 }
 
@@ -34,7 +33,6 @@ const char* fusion_mode_name(Fusion f) {
   switch (f) {
     case Fusion::Off: return "off";
     case Fusion::On: return "on";
-    case Fusion::Auto: return "auto";
     default: return "unset";
   }
 }
@@ -81,13 +79,6 @@ Future Runtime::issue_record(const std::shared_ptr<LaunchRecord>& R) {
     // exec_threads > 1 — intra-launch parallelism needs no deferral.
     if (R->has_redop) drain_sim_queue();
     sim_apply(*R, /*deferred=*/false);
-    if (!pipeline_ && fusion_on_) {
-      // Sequential fusion mode still memoizes eager images: invalidate them
-      // for everything this launch just rewrote.
-      for (const auto& a : R->args) {
-        if (a.priv != Priv::Read) ++eager_epoch_[a.view.id];
-      }
-    }
     return R->result;
   }
 

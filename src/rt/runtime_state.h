@@ -16,8 +16,12 @@ struct Runtime::SyncState {
   IntervalMap<std::uint64_t> version;  ///< data version (implicit 0)
   IntervalMap<int> owner;              ///< memory holding the latest version
   std::uint64_t version_counter{0};
-  std::uint64_t epoch{0};  ///< bumped on writes; invalidates image cache
-  PartitionRef key;        ///< last partition used to write (basis units)
+  std::uint64_t epoch{0};  ///< bumped on writes; keys image accounting
+  /// Key partition: identity of the last partition used to write (or first
+  /// used to read) this store, 0 = none. Keys are always equal splits of
+  /// the store's own basis, so the color count is all reuse needs to know.
+  std::uint64_t key_uid{0};
+  int key_colors{0};
 };
 
 /// One simulated allocation of (part of) a store in one memory.

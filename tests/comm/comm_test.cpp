@@ -13,9 +13,12 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "apps/workloads.h"
+#include "baselines/ref/ref.h"
 #include "comm/comm.h"
 #include "metrics/metrics.h"
 #include "solve/krylov.h"
@@ -508,6 +511,130 @@ TEST(CommRuntime, OverlapSplitsKernelsAndNeverRegresses) {
   const auto* splits = snap.find("lsr_comm_overlap_splits_total");
   ASSERT_NE(splits, nullptr);
   EXPECT_GT(splits->value, 0);
+}
+
+// ---- Image content is solved once per launch -------------------------------
+// Every launch's partition content (including data-dependent images) comes
+// from the one constraint solve; the replay only accounts for it. The probe
+// below rewrites a matrix's column indices through a mutable span between
+// two SpMVs: the second SpMV must gather x by the *new* pattern, exactly
+// like a matrix built with that pattern from the start.
+
+struct ImageProbe {
+  std::vector<double> y2;
+  std::vector<double> x2;  ///< the second spmv's operand
+  std::map<std::string, double> delta;  ///< second spmv's traffic/copy deltas
+};
+
+constexpr coord_t kProbeRows = 4096;
+
+// One nonzero per row: the diagonal, or (shifted) column (i + n/2) mod n,
+// which makes every row read x from the processor holding the other half.
+std::vector<coord_t> probe_cols(bool shifted) {
+  std::vector<coord_t> cols(static_cast<std::size_t>(kProbeRows));
+  for (coord_t i = 0; i < kProbeRows; ++i) {
+    cols[static_cast<std::size_t>(i)] =
+        shifted ? (i + kProbeRows / 2) % kProbeRows : i;
+  }
+  return cols;
+}
+
+std::vector<coord_t> probe_indptr() {
+  std::vector<coord_t> indptr(static_cast<std::size_t>(kProbeRows) + 1);
+  for (coord_t i = 0; i <= kProbeRows; ++i) indptr[static_cast<std::size_t>(i)] = i;
+  return indptr;
+}
+
+std::vector<double> probe_vals() {
+  std::vector<double> vals(static_cast<std::size_t>(kProbeRows));
+  for (coord_t i = 0; i < kProbeRows; ++i) {
+    vals[static_cast<std::size_t>(i)] = static_cast<double>(i + 1);
+  }
+  return vals;
+}
+
+ImageProbe run_image_probe(int threads, rt::Fusion fusion, bool rewrite) {
+  sim::PerfParams pp;
+  rt::RuntimeOptions o;
+  o.exec_threads = threads;
+  o.exec_pipeline = 1;
+  o.fusion = fusion;
+  o.comm = comm::Mode::Off;
+  o.partition = rt::PartitionStrategy::Rows;
+  rt::Runtime rt(sim::Machine::gpus(4, pp), o);
+  // Either build the diagonal and rewrite it below, or build the shifted
+  // pattern directly.
+  CsrMatrix A = CsrMatrix::from_host(rt, kProbeRows, kProbeRows, probe_indptr(),
+                                     probe_cols(!rewrite), probe_vals());
+  DArray x = DArray::full(rt, kProbeRows, 1.0);
+  DArray y1 = A.spmv(x);
+  if (rewrite) {
+    auto crd = A.crd().span<coord_t>();
+    const auto shifted = probe_cols(true);
+    std::copy(shifted.begin(), shifted.end(), crd.begin());
+  }
+  // The second operand is y1 (= vals under either pattern): it lives on the
+  // GPUs, split by rows, so every x element a row reads off-GPU is a copy.
+  metrics::Snapshot before = rt.metrics_snapshot();
+  DArray y2 = A.spmv(y1);
+  metrics::Snapshot d = rt.metrics_snapshot().delta(before);
+  ImageProbe out{y2.to_vector(), y1.to_vector(), {}};
+  for (const auto& m : d.metrics) {
+    const bool traffic = m.name.rfind("lsr_sim_traffic_", 0) == 0 &&
+                         m.name.size() > 12 &&
+                         m.name.compare(m.name.size() - 12, 12, "_bytes_total") == 0;
+    if (traffic || m.name == "lsr_sim_copies_total") out.delta[m.name] = m.value;
+  }
+  return out;
+}
+
+TEST(ImageContent, SpanRewriteOfCrdChargesTheNewPattern) {
+  sim::PerfParams pp;
+  baselines::ref::RefContext ctx(baselines::ref::Device::ScipyCpu, pp);
+  baselines::ref::RefCsr ref(ctx, kProbeRows, kProbeRows, probe_indptr(),
+                             probe_cols(true), probe_vals());
+  for (int threads : {1, 4}) {
+    for (rt::Fusion fusion : {rt::Fusion::Off, rt::Fusion::On}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads << " fusion="
+                                      << rt::fusion_mode_name(fusion));
+      ImageProbe rewritten, direct;
+      ASSERT_NO_THROW(rewritten = run_image_probe(threads, fusion, true));
+      ASSERT_NO_THROW(direct = run_image_probe(threads, fusion, false));
+      baselines::ref::RefVector rx(ctx, rewritten.x2);
+      EXPECT_EQ(rewritten.y2, ref.spmv(rx).data());
+      EXPECT_EQ(rewritten.delta, direct.delta);
+      ASSERT_EQ(direct.delta.count("lsr_sim_copies_total"), 1U);
+      EXPECT_GT(direct.delta.at("lsr_sim_copies_total"), 0);
+    }
+  }
+}
+
+TEST(ImageContent, CacheEntriesBoundedByLiveSources) {
+  // Fresh matrices, each used for one spmv and dropped: the dependent-
+  // partition caches must forget a source once it is released.
+  for (int threads : {1, 4}) {
+    for (rt::Fusion fusion : {rt::Fusion::Off, rt::Fusion::On}) {
+      SCOPED_TRACE(testing::Message() << "threads=" << threads << " fusion="
+                                      << rt::fusion_mode_name(fusion));
+      sim::PerfParams pp;
+      rt::RuntimeOptions o = comm_opts(comm::Mode::Off, threads);
+      o.fusion = fusion;
+      rt::Runtime rt(sim::Machine::gpus(kProcs, pp), o);
+      apps::HostProblem prob = apps::zipf_matrix(200 * kProcs, 1.05, 8, 5);
+      DArray x = DArray::full(rt, prob.rows, 1.0);
+      std::vector<std::size_t> entries;
+      for (int cycle = 0; cycle < 24; ++cycle) {
+        {
+          CsrMatrix M = from_problem(rt, prob);
+          DArray y = M.spmv(x);
+        }
+        rt.fence();
+        entries.push_back(rt.image_cache_entries());
+      }
+      EXPECT_EQ(entries[3], entries.back());
+      EXPECT_LE(entries.back(), entries.front());
+    }
+  }
 }
 
 }  // namespace

@@ -69,7 +69,7 @@ TEST(Fusion, ModeParsing) {
   EXPECT_EQ(rt::parse_fusion_mode("on"), rt::Fusion::On);
   EXPECT_EQ(rt::parse_fusion_mode("ON"), rt::Fusion::On);
   EXPECT_EQ(rt::parse_fusion_mode("1"), rt::Fusion::On);
-  EXPECT_EQ(rt::parse_fusion_mode("auto"), rt::Fusion::Auto);
+  EXPECT_EQ(rt::parse_fusion_mode("auto"), rt::Fusion::On);
   EXPECT_EQ(rt::parse_fusion_mode("bogus"), rt::Fusion::Unset);
 }
 

@@ -79,11 +79,18 @@ class JsonParser {
       case '{': return object();
       case '[': return array();
       case '"': return string_value();
-      case 't': return literal("true", JsonValue{JsonValue::Kind::Bool, true});
-      case 'f': return literal("false", JsonValue{JsonValue::Kind::Bool, false});
+      case 't': return literal("true", boolean(true));
+      case 'f': return literal("false", boolean(false));
       case 'n': return literal("null", JsonValue{});
       default: return number();
     }
+  }
+
+  static JsonValue boolean(bool b) {
+    JsonValue v;
+    v.kind = JsonValue::Kind::Bool;
+    v.boolean = b;
+    return v;
   }
 
   JsonValue literal(const std::string& word, JsonValue v) {

@@ -167,8 +167,8 @@ TEST_F(EngineTest, KernelSecondsRejectsNonPositiveEfficiency) {
   CostModel cm(pp);
   Cost zero{1e9, 0, 0.0};
   Cost negative{1e9, 0, -0.5};
-  EXPECT_THROW(cm.kernel_seconds(ProcKind::GPU, zero), std::logic_error);
-  EXPECT_THROW(cm.kernel_seconds(ProcKind::CPU, negative), std::logic_error);
+  EXPECT_THROW((void)cm.kernel_seconds(ProcKind::GPU, zero), std::logic_error);
+  EXPECT_THROW((void)cm.kernel_seconds(ProcKind::CPU, negative), std::logic_error);
 }
 
 // Ring all-reduce traffic attribution: every hop i -> i+1 carries
