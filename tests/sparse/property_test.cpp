@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 
 #include "oracle.h"
 #include "sparse/csr.h"
@@ -24,6 +25,13 @@ struct SweepParam {
   double density;
   std::uint64_t seed;
 };
+
+// Names each sweep case by its fields. Without it gtest prints the raw bytes
+// of the struct, padding included, and the test names change between builds.
+void PrintTo(const SweepParam& p, std::ostream* os) {
+  *os << "procs" << p.procs << "_" << p.rows << "x" << p.cols << "_density" << p.density
+      << "_seed" << p.seed;
+}
 
 class FormatSweep : public ::testing::TestWithParam<SweepParam> {
  protected:
