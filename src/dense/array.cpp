@@ -96,7 +96,7 @@ DArray DArray::from_vector(rt::Runtime& rt, const std::vector<double>& v) {
 DArray DArray::binary(const DArray& o, const char* name,
                       double (*op)(double, double)) const {
   LSR_CHECK_MSG(size() == o.size(), "shape mismatch");
-  DArray r(*rt_, rt_->create_store(rt::DType::F64, store_.shape()));
+  DArray r(*rt_, rt_->create_store(rt::DType::F64, store_.shape(), rt::FirstWrite::Full));
   rt::TaskLauncher launch(*rt_, name);
   int ia = launch.add_input(store_);
   int ib = launch.add_input(o.store_);
@@ -135,7 +135,7 @@ void DArray::inplace_binary(const DArray& o, const char* name,
 }
 
 DArray DArray::unary(const char* name, double (*op)(double)) const {
-  DArray r(*rt_, rt_->create_store(rt::DType::F64, store_.shape()));
+  DArray r(*rt_, rt_->create_store(rt::DType::F64, store_.shape(), rt::FirstWrite::Full));
   rt::TaskLauncher launch(*rt_, name);
   int ia = launch.add_input(store_);
   int ic = launch.add_output(r.store_);
@@ -196,7 +196,7 @@ DArray DArray::copy() const {
 }
 
 DArray DArray::clip(double lo, double hi) const {
-  DArray r(*rt_, rt_->create_store(rt::DType::F64, store_.shape()));
+  DArray r(*rt_, rt_->create_store(rt::DType::F64, store_.shape(), rt::FirstWrite::Full));
   rt::TaskLauncher launch(*rt_, "clip");
   int ia = launch.add_input(store_);
   int ic = launch.add_output(r.store());
@@ -217,7 +217,7 @@ DArray DArray::clip(double lo, double hi) const {
 DArray DArray::slice(coord_t lo, coord_t hi) const {
   LSR_CHECK_MSG(dim() == 1 && lo >= 0 && hi <= size() && lo <= hi,
                 "invalid 1-D slice bounds");
-  DArray r(*rt_, rt_->create_store(rt::DType::F64, {hi - lo}));
+  DArray r(*rt_, rt_->create_store(rt::DType::F64, {hi - lo}, rt::FirstWrite::Full));
   rt::TaskLauncher launch(*rt_, "slice");
   int ic = launch.add_output(r.store());
   int ia = launch.add_input(store_);
@@ -245,7 +245,7 @@ void DArray::imul(const DArray& o) {
 }
 
 DArray DArray::scale(Scalar a) const {
-  DArray r(*rt_, rt_->create_store(rt::DType::F64, store_.shape()));
+  DArray r(*rt_, rt_->create_store(rt::DType::F64, store_.shape(), rt::FirstWrite::Full));
   rt::TaskLauncher launch(*rt_, "scale");
   int ia = launch.add_input(store_);
   int ic = launch.add_output(r.store_);
@@ -265,7 +265,7 @@ DArray DArray::scale(Scalar a) const {
 }
 
 DArray DArray::add_scalar(Scalar a) const {
-  DArray r(*rt_, rt_->create_store(rt::DType::F64, store_.shape()));
+  DArray r(*rt_, rt_->create_store(rt::DType::F64, store_.shape(), rt::FirstWrite::Full));
   rt::TaskLauncher launch(*rt_, "add_scalar");
   int ia = launch.add_input(store_);
   int ic = launch.add_output(r.store_);
@@ -453,7 +453,7 @@ DArray DArray::matmul(const DArray& b) const {
 DArray DArray::transpose() const {
   LSR_CHECK_MSG(dim() == 2, "transpose requires a 2-D array");
   coord_t m = rows(), n = cols();
-  DArray t(*rt_, rt_->create_store(rt::DType::F64, {n, m}));
+  DArray t(*rt_, rt_->create_store(rt::DType::F64, {n, m}, rt::FirstWrite::Full));
   const rt::Store in = store_;
   const rt::Store out = t.store_;
   rt_->shuffle(in, out, [in, out, m, n]() {

@@ -22,13 +22,10 @@ using detail::LaunchRecord;
 namespace detail {
 
 StoreImpl::StoreImpl(Runtime* rt_, StoreId id_, DType dtype_,
-                     std::vector<coord_t> shape_)
+                     std::vector<coord_t> shape_, HostBufferPool& buffers, bool zero)
     : rt(rt_), id(id_), dtype(dtype_), shape(std::move(shape_)) {
   LSR_CHECK(shape.size() == 1 || shape.size() == 2);
-  // Shared buffer: deferred launches (legate::exec) keep the bytes alive
-  // through StoreViews past this handle's destruction.
-  data = std::make_shared<std::vector<std::byte>>(
-      static_cast<std::size_t>(volume()) * dtype_size(dtype));
+  data = buffers.acquire(static_cast<std::size_t>(volume()) * dtype_size(dtype), zero);
 }
 
 StoreImpl::~StoreImpl() {
@@ -309,6 +306,16 @@ Runtime::Runtime(const sim::Machine& machine, RuntimeOptions opts)
   met_.comm_overlap_splits = mreg.counter(
       "lsr_comm_overlap_splits_total",
       "kernels split into interior/boundary phases to overlap the exchange");
+  host_buffers_ = std::make_shared<detail::HostBufferPool>(
+      mreg.counter("lsr_rt_host_buffers_fresh_total",
+                   "canonical host buffers newly allocated",
+                   metrics::Stability::Volatile),
+      mreg.counter("lsr_rt_host_buffers_reused_total",
+                   "canonical host buffers recycled from the pool",
+                   metrics::Stability::Volatile),
+      mreg.gauge("lsr_rt_host_buffer_pool_bytes",
+                 "idle canonical host-buffer bytes held for reuse",
+                 metrics::Stability::Volatile));
   ledger_.set_hashed_counter(mreg.counter(
       "lsr_integrity_bytes_hashed_total",
       "bytes run through CRC32C by checksum maintenance and verification"));
@@ -339,6 +346,7 @@ Runtime::~Runtime() {
   engine_->flight().set_pool_status({});
   pool_.reset();
   for (auto* impl : live_stores_) impl->rt = nullptr;
+  host_buffers_->close();
 }
 
 std::string Runtime::diag_dump(const std::string& reason) {
@@ -346,9 +354,14 @@ std::string Runtime::diag_dump(const std::string& reason) {
   return engine_->flight().dump(reason);
 }
 
-Store Runtime::create_store(DType dtype, std::vector<coord_t> shape) {
-  auto impl =
-      std::make_shared<detail::StoreImpl>(this, next_store_id_++, dtype, std::move(shape));
+Store Runtime::create_store(DType dtype, std::vector<coord_t> shape,
+                            FirstWrite first_write) {
+  // Integrity keeps the zero fill: the birth checksum below must cover
+  // defined bytes.
+  const bool zero =
+      first_write == FirstWrite::Partial || opts_.integrity != Integrity::Off;
+  auto impl = std::make_shared<detail::StoreImpl>(
+      this, next_store_id_++, dtype, std::move(shape), *host_buffers_, zero);
   live_stores_.insert(impl.get());
   sync_.emplace(impl->id, std::make_unique<SyncState>());
   // Checksum the zero-initialized buffer so every live store is tracked
@@ -929,7 +942,7 @@ void Runtime::apply_flip(StoreId id, std::uint64_t offset, int bit,
                          double now) {
   detail::StoreImpl* impl = find_live_store(id);
   if (impl == nullptr || offset >= impl->data->size()) return;
-  auto& byte = (*impl->data)[static_cast<std::size_t>(offset)];
+  auto& byte = impl->data->data()[static_cast<std::size_t>(offset)];
   byte ^= static_cast<std::byte>(1U << static_cast<unsigned>(bit));
   engine_->note_flip_injected();
   if (opts_.integrity != Integrity::Off) {

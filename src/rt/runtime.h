@@ -52,6 +52,13 @@ enum class ConstraintKind {
 
 enum class ScalarRedop { Sum, Max, Min };
 
+/// What a store's creator declares about the store's first launch (an
+/// internal create_store argument). `Full`: that launch overwrites every
+/// element before anything reads the store, so its host buffer is handed
+/// out without a zero fill. `Partial` (todense, scatters, reductions, and
+/// anything undeclared) keeps the fill.
+enum class FirstWrite { Partial, Full };
+
 /// Result of a scalar reduction (dot, norm, ...). `value` is exact (computed
 /// for real); `ready` is the simulated completion time including the
 /// all-reduce model. `poisoned` marks a value produced from data the modeled
@@ -300,13 +307,17 @@ class Runtime {
   Runtime(const Runtime&) = delete;
   Runtime& operator=(const Runtime&) = delete;
 
-  Store create_store(DType dtype, std::vector<coord_t> shape);
+  /// New store of `dtype` and `shape` (1 or 2 dims). Its bytes are zero
+  /// unless `first_write` is FirstWrite::Full and integrity is off.
+  Store create_store(DType dtype, std::vector<coord_t> shape,
+                     FirstWrite first_write = FirstWrite::Partial);
 
   /// Create a 1-D store initialized from host data (lives in the home
   /// system memory, like a NumPy array handed to Legate).
   template <typename T>
   Store attach(const std::vector<T>& data) {
-    Store s = create_store(dtype_of<T>::value, {static_cast<coord_t>(data.size())});
+    Store s = create_store(dtype_of<T>::value, {static_cast<coord_t>(data.size())},
+                           FirstWrite::Full);
     auto dst = s.span<T>();
     std::copy(data.begin(), data.end(), dst.begin());
     mark_attached(s);
@@ -362,6 +373,8 @@ class Runtime {
   [[nodiscard]] std::size_t image_cache_entries() const {
     return eager_images_.size() + image_cache_.size();
   }
+  /// The pool recycling this runtime's canonical host buffers (test hook).
+  [[nodiscard]] detail::HostBufferPool& host_buffers() { return *host_buffers_; }
 
   // -- fusion ----------------------------------------------------------------
   /// Whether the fusion pass is active (mode on and fault injection
@@ -633,6 +646,9 @@ class Runtime {
 
   StoreId next_store_id_{1};
   std::unordered_set<detail::StoreImpl*> live_stores_;
+  /// Recycles canonical host buffers; shared so buffer deleters can hold it
+  /// weakly (rt/host_buffer.h). Closed in ~Runtime.
+  std::shared_ptr<detail::HostBufferPool> host_buffers_;
   std::unordered_map<StoreId, std::unique_ptr<SyncState>> sync_;
   std::vector<std::unique_ptr<MemState>> mem_state_;  // per memory
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "rt/dtype.h"
+#include "rt/host_buffer.h"
 #include "util/interval.h"
 
 namespace legate::rt {
@@ -20,12 +21,17 @@ namespace detail {
 /// allocations are released (this is what lets the mapper reuse the
 /// out-of-scope x0 allocations in the paper's Fig. 5 walk-through).
 ///
-/// The buffer itself is held through a shared_ptr: deferred launches
-/// (legate::exec) keep the *bytes* alive via StoreView without extending the
-/// store's runtime-visible lifetime, so release accounting still fires at
-/// the caller's drop position in the task stream.
+/// The buffer comes from the Runtime's HostBufferPool (rt/host_buffer.h)
+/// and is held through a shared_ptr: deferred launches (legate::exec) keep
+/// the *bytes* alive via StoreView without extending the store's
+/// runtime-visible lifetime, so release accounting still fires at the
+/// caller's drop position in the task stream, while the buffer itself goes
+/// back to the pool only when the last view drops. It starts zeroed unless
+/// the creator declared a full first write (FirstWrite::Full); then it
+/// holds stale bytes, or the poison pattern in LSR_SANITIZE builds.
 struct StoreImpl {
-  StoreImpl(Runtime* rt_, StoreId id_, DType dtype_, std::vector<coord_t> shape_);
+  StoreImpl(Runtime* rt_, StoreId id_, DType dtype_, std::vector<coord_t> shape_,
+            HostBufferPool& buffers, bool zero);
   ~StoreImpl();
   StoreImpl(const StoreImpl&) = delete;
   StoreImpl& operator=(const StoreImpl&) = delete;
@@ -34,7 +40,7 @@ struct StoreImpl {
   StoreId id;
   DType dtype;
   std::vector<coord_t> shape;  ///< 1 or 2 dims; 2-D is row-major
-  std::shared_ptr<std::vector<std::byte>> data;
+  std::shared_ptr<HostBuffer> data;
 
   [[nodiscard]] coord_t volume() const {
     coord_t v = 1;
@@ -58,7 +64,7 @@ struct StoreView {
   coord_t basis{0};   ///< partitionable units (rows for 2-D)
   coord_t stride{1};  ///< elements per basis unit
   coord_t volume{0};
-  std::shared_ptr<std::vector<std::byte>> data;
+  std::shared_ptr<HostBuffer> data;
 
   [[nodiscard]] Interval extent() const { return {0, volume}; }
   [[nodiscard]] std::span<std::byte> raw() const { return {data->data(), data->size()}; }

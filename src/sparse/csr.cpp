@@ -192,7 +192,7 @@ void CsrMatrix::apply_row_strategy(rt::TaskLauncher& launch, int arg) const {
 
 DArray CsrMatrix::spmv(const DArray& x) const {
   LSR_CHECK_MSG(x.size() == cols_, "spmv dimension mismatch");
-  DArray y(*rt_, rt_->create_store(rt::DType::F64, {rows_}));
+  DArray y(*rt_, rt_->create_store(rt::DType::F64, {rows_}, rt::FirstWrite::Full));
   TaskLauncher launch(*rt_, "csr_spmv");
   int iy = launch.add_output(y.store());
   int ip = launch.add_input(pos_);

@@ -395,8 +395,11 @@ TEST(CommRuntime, CgHitRateAtLeastNinetyPercent) {
   // cache, each launch replays its plan. (Under an nnz split the vector ops
   // realign spmv's output, which dies each iteration and takes its plan with
   // it — a different, deliberately uncached pattern.)
+  // The bar was set on unfused launches; fusion changes the launch stream
+  // the planner sees, so it is pinned off rather than left to LSR_FUSE.
   rt::RuntimeOptions o = comm_opts(comm::Mode::Plan);
   o.partition = rt::PartitionStrategy::Rows;
+  o.fusion = rt::Fusion::Off;
   rt::Runtime rt(sim::Machine::gpus(kProcs, pp), o);
   CsrMatrix A = poisson2d(rt, 40);
   DArray b = DArray::full(rt, A.rows(), 1.0);
