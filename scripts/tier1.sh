@@ -27,7 +27,10 @@
 # LSR_COMM=off|plan|overlap selects the communication planner (DESIGN.md
 # §15): cached halo-exchange plans, per-link message coalescing, and (with
 # overlap) interior/boundary kernel splitting. CI runs tier-1 and tsan legs
-# with LSR_COMM=overlap — results must stay bit-identical to off.
+# with LSR_COMM=overlap — results must stay bit-identical to off. The planner
+# stays on under fault injection (retries go through the same point charge
+# as the per-piece path), so those legs cover the recovery, checkpoint and
+# corruption suites with plans active too.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 

@@ -2,8 +2,22 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 namespace legate::exec {
+
+namespace {
+
+/// Wall seconds the task running on this thread spent on work that is not
+/// its own: nested tasks it ran while helping, and idle waits for other
+/// workers. Null outside a task. run_task subtracts it from the task's wall.
+thread_local double* t_not_own = nullptr;
+
+double seconds_since(std::chrono::steady_clock::time_point t0) {
+  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
+}
+
+}  // namespace
 
 Pool::Pool(int threads, metrics::Registry* metrics) {
   if (metrics != nullptr) {
@@ -19,7 +33,8 @@ Pool::Pool(int threads, metrics::Registry* metrics) {
         "iterations claimed per parallel_for participant",
         {1, 2, 4, 8, 16, 32, 64, 128, 256, 1024, 4096}, Stability::Volatile);
     met_task_wall_ = metrics->histogram(
-        "lsr_exec_task_wall_seconds", "measured wall time per pool task",
+        "lsr_exec_task_wall_seconds",
+        "measured wall time per pool task, nested tasks and idle waits excluded",
         metrics::Registry::seconds_buckets(), Stability::Volatile);
   }
   int n = std::max(1, threads);
@@ -71,11 +86,25 @@ Pool::Status Pool::status() {
 }
 
 void Pool::run_task(std::function<void()>& task) {
+  double not_own = 0;
+  double* outer = std::exchange(t_not_own, &not_own);
   auto t0 = std::chrono::steady_clock::now();
   task();
-  met_task_wall_.observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count());
+  const double wall = seconds_since(t0);
+  t_not_own = outer;
+  // A nested task is not its helper's own work: count its wall once, here.
+  if (outer != nullptr) *outer += wall;
+  met_task_wall_.observe(wall - not_own);
+}
+
+void Pool::wait_done(std::unique_lock<std::mutex>& lk) {
+  if (t_not_own == nullptr) {
+    cv_done_.wait(lk);
+    return;
+  }
+  auto t0 = std::chrono::steady_clock::now();
+  cv_done_.wait(lk);
+  *t_not_own += seconds_since(t0);
 }
 
 void Pool::push_task_locked(std::function<void()> fn) {
@@ -137,7 +166,7 @@ void Pool::wait(const NodeRef& n) {
   if (n == nullptr) return;
   std::unique_lock<std::mutex> lk(mu_);
   while (!n->done_.load(std::memory_order_acquire)) {
-    if (!help_one(lk)) cv_done_.wait(lk);
+    if (!help_one(lk)) wait_done(lk);
   }
 }
 
@@ -146,7 +175,7 @@ void Pool::wait_all() {
   for (;;) {
     if (help_one(lk)) continue;
     if (inflight_nodes_ == 0 && running_ == 0) return;
-    cv_done_.wait(lk);
+    wait_done(lk);
   }
 }
 
@@ -215,7 +244,7 @@ void Pool::parallel_for(long n, const std::function<void(long)>& body) {
   while (st->completed.load() < st->n) {
     // Help with whatever is queued (another node, a nested loop's chunks)
     // rather than idling while the last iterations finish elsewhere.
-    if (!help_one(lk)) cv_done_.wait(lk);
+    if (!help_one(lk)) wait_done(lk);
   }
 }
 

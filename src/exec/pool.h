@@ -105,8 +105,13 @@ class Pool {
   void enqueue_node_locked(const NodeRef& n);
   /// Run one queued task if any, temporarily releasing `lk`.
   bool help_one(std::unique_lock<std::mutex>& lk);
-  /// Execute a popped task outside the lock, timing it when metrics are on.
+  /// Execute a popped task outside the lock and observe its own wall time:
+  /// nested tasks it runs while helping, and its idle waits, are excluded
+  /// (a nested task observes its own wall).
   void run_task(std::function<void()>& task);
+  /// cv_done_.wait, charging the idle time to the running task's
+  /// not-own-work when called from inside a task.
+  void wait_done(std::unique_lock<std::mutex>& lk);
   /// Total tasks parked across all deques. Lock must be held.
   [[nodiscard]] std::size_t queued_locked() const;
 

@@ -45,11 +45,7 @@ Interval TaskContext::interval(int arg) const {
   return rec_->ivs[static_cast<std::size_t>(color_)][static_cast<std::size_t>(arg)];
 }
 
-Interval TaskContext::elem_interval(int arg) const {
-  Interval iv = interval(arg);
-  coord_t stride = rec_->args[static_cast<std::size_t>(arg)].view.stride;
-  return {iv.lo * stride, iv.hi * stride};
-}
+Interval TaskContext::elem_interval(int arg) const { return rec_->elem(color_, arg); }
 
 std::span<std::byte> TaskContext::arg_bytes(int arg) const {
   if (reduce_bufs_ != nullptr && !(*reduce_bufs_)[arg].empty()) {
@@ -196,17 +192,17 @@ Runtime::Runtime(const sim::Machine& machine, RuntimeOptions opts)
   if (fusion_mode_ == Fusion::Unset) fusion_mode_ = Fusion::Off;
   fusion_on_ = fusion_mode_ != Fusion::Off && !opts_.faults.enabled;
   if (fusion_on_) fuse_tracker_ = std::make_unique<fuse::WindowTracker>();
-  // Comm-planner mode: option, else LSR_COMM env, else off. Fault injection
-  // disables the planner (per-point retry accounting needs the per-piece
-  // staging path), and so does the coalescing=false ablation (the plan's
-  // ghost→allocation resolution assumes disjoint allocation extents).
+  // Comm-planner mode: option, else LSR_COMM env, else off. The planner
+  // composes with fault injection: both Pass B strategies charge kernels
+  // through charge_point, retries included. The coalescing=false ablation is
+  // the one force-off left: the plan's ghost→allocation lookup assumes
+  // disjoint allocation extents, which only coalescing guarantees.
   comm_mode_ = opts_.comm;
   if (comm_mode_ == comm::Mode::Unset) {
     comm_mode_ = comm::parse_comm_mode(std::getenv("LSR_COMM"));
   }
   if (comm_mode_ == comm::Mode::Unset) comm_mode_ = comm::Mode::Off;
-  comm_on_ = comm_mode_ != comm::Mode::Off && !opts_.faults.enabled &&
-             opts_.coalescing;
+  comm_on_ = comm_mode_ != comm::Mode::Off && opts_.coalescing;
   // Diagnostics mode: option, else LSR_DIAG env, else off. The engine already
   // configured itself from the environment at construction; reconfigure with
   // the resolved option set and wire the watchdog's executor-pool probe.
@@ -223,6 +219,39 @@ Runtime::Runtime(const sim::Machine& machine, RuntimeOptions opts)
     });
   }
 
+  register_metrics();
+  auto& mreg = engine_->metrics();
+  host_buffers_ = std::make_shared<detail::HostBufferPool>(
+      mreg.counter("lsr_rt_host_buffers_fresh_total",
+                   "canonical host buffers newly allocated",
+                   metrics::Stability::Volatile),
+      mreg.counter("lsr_rt_host_buffers_reused_total",
+                   "canonical host buffers recycled from the pool",
+                   metrics::Stability::Volatile),
+      mreg.gauge("lsr_rt_host_buffer_pool_bytes",
+                 "idle canonical host-buffer bytes held for reuse",
+                 metrics::Stability::Volatile));
+  ledger_.set_hashed_counter(mreg.counter(
+      "lsr_integrity_bytes_hashed_total",
+      "bytes run through CRC32C by checksum maintenance and verification"));
+
+  if (opts_.faults.enabled) {
+    injector_ = std::make_unique<sim::FaultInjector>(opts_.faults);
+    // Phantom reservation shrinking every framebuffer, so the spill path can
+    // be exercised without paper-scale problem sizes.
+    if (opts_.faults.oom_pressure_bytes > 0) {
+      for (const auto& m : machine_.memories()) {
+        if (m.kind == sim::MemKind::Frame) {
+          engine_->alloc_bytes(m.id, opts_.faults.oom_pressure_bytes);
+        }
+      }
+    }
+  }
+}
+
+// Runtime-layer metric handles, in registration order (the order
+// snapshots list them in).
+void Runtime::register_metrics() {
   auto& mreg = engine_->metrics();
   met_.launches = mreg.counter("lsr_rt_launches_total", "task launches applied");
   met_.part_reuse_hits = mreg.counter(
@@ -306,32 +335,6 @@ Runtime::Runtime(const sim::Machine& machine, RuntimeOptions opts)
   met_.comm_overlap_splits = mreg.counter(
       "lsr_comm_overlap_splits_total",
       "kernels split into interior/boundary phases to overlap the exchange");
-  host_buffers_ = std::make_shared<detail::HostBufferPool>(
-      mreg.counter("lsr_rt_host_buffers_fresh_total",
-                   "canonical host buffers newly allocated",
-                   metrics::Stability::Volatile),
-      mreg.counter("lsr_rt_host_buffers_reused_total",
-                   "canonical host buffers recycled from the pool",
-                   metrics::Stability::Volatile),
-      mreg.gauge("lsr_rt_host_buffer_pool_bytes",
-                 "idle canonical host-buffer bytes held for reuse",
-                 metrics::Stability::Volatile));
-  ledger_.set_hashed_counter(mreg.counter(
-      "lsr_integrity_bytes_hashed_total",
-      "bytes run through CRC32C by checksum maintenance and verification"));
-
-  if (opts_.faults.enabled) {
-    injector_ = std::make_unique<sim::FaultInjector>(opts_.faults);
-    // Phantom reservation shrinking every framebuffer, so the spill path can
-    // be exercised without paper-scale problem sizes.
-    if (opts_.faults.oom_pressure_bytes > 0) {
-      for (const auto& m : machine_.memories()) {
-        if (m.kind == sim::MemKind::Frame) {
-          engine_->alloc_bytes(m.id, opts_.faults.oom_pressure_bytes);
-        }
-      }
-    }
-  }
 }
 
 Runtime::~Runtime() {
@@ -683,36 +686,11 @@ double Runtime::ensure_in_memory(const detail::StoreView& store, Interval elem,
                           [&](Interval, double t) { data_ready = std::max(data_ready, t); });
   if (discard) return data_ready;
 
-  // Determine the required version per piece (implicit version 0 for
-  // never-written data, which needs no movement), restricted to the precise
-  // touched set when one exists.
-  std::vector<std::pair<Interval, std::uint64_t>> required;
-  auto collect = [&](Interval range) {
-    ss.version.for_each_in(
-        range, [&](Interval iv, std::uint64_t v) { required.emplace_back(iv, v); });
-  };
-  if (precise != nullptr) {
-    precise->for_each(elem, collect);
-  } else {
-    collect(elem);
-  }
-  for (auto& [iv, v] : required) {
-    if (v == 0) continue;
-    // Compare against what the allocation holds.
-    std::vector<Interval> stale;
-    alloc.held.for_each_in(iv, [&](Interval piece, std::uint64_t held_v) {
-      if (held_v < v) stale.push_back(piece);
-    });
-    alloc.held.for_each_gap(iv, [&](Interval gap) { stale.push_back(gap); });
+  // Copy every stale piece of the required (written) runs from its owner
+  // memory — a piece may have several owners.
+  auto copy_stale = [&](Interval iv, std::uint64_t v, const std::vector<Interval>& stale) {
     for (Interval piece : stale) {
-      // Copy from the owner memory; a piece may have several owners.
-      std::vector<std::pair<Interval, int>> sources;
-      ss.owner.for_each_in(piece,
-                           [&](Interval p, int m) { sources.emplace_back(p, m); });
-      ss.owner.for_each_gap(piece, [&](Interval p) {
-        sources.emplace_back(p, machine_.home_memory());
-      });
-      for (auto& [p, src_mem] : sources) {
+      for (auto& [p, src_mem] : owner_runs(ss.owner, piece, machine_.home_memory())) {
         double src_ready = 0;
         ss.last_write.for_each_in(
             p, [&](Interval, double t) { src_ready = std::max(src_ready, t); });
@@ -727,7 +705,8 @@ double Runtime::ensure_in_memory(const detail::StoreView& store, Interval elem,
     alloc.ready.for_each_in(iv, [&](Interval, double t) {
       data_ready = std::max(data_ready, t);
     });
-  }
+  };
+  for_each_stale(ss.version, alloc.held, elem, precise, copy_stale);
   return data_ready;
 }
 
@@ -1220,19 +1199,18 @@ double Runtime::shuffle(const Store& in, const Store& out,
     Interval iv = part->sub(d);
     Interval elem{iv.lo * out.stride(), iv.hi * out.stride()};
     if (elem.empty()) continue;
-    const auto& proc = machine_.proc(d);
-    sim::Cost cost{2.0 * static_cast<double>(elem.size()) * esize * engine_->cost_scale(),
-                   0, 1.0};
-    double dur = engine_->cost_model().kernel_seconds(
-        proc.kind, cost, proc.kind == sim::ProcKind::CPU ? cpu_fraction_ : 1.0);
-    if (proc.kind == sim::ProcKind::GPU) dur += machine_.params().gpu_kernel_launch;
-    engine_->note_task();
-    double done = engine_->busy_proc(d, dst_ready[static_cast<std::size_t>(d)], dur,
-                                     "shuffle_repack");
+    // Repacks draw no transient faults: the point sequence stays the
+    // launches' alone.
+    const double done =
+        charge_point({.proc = d, .cost = {2.0 * static_cast<double>(elem.size()) * esize, 0, 1.0},
+                      .gate = dst_ready[static_cast<std::size_t>(d)], .faults = false},
+                     "shuffle_repack")
+            .first;
+    const int mem = machine_.proc(d).mem;
     sout.version.assign(elem, sout.version_counter);
-    sout.owner.assign(elem, proc.mem);
+    sout.owner.assign(elem, mem);
     sout.last_write.assign(elem, done);
-    Alloc& alloc = find_or_create_alloc(out.view(), elem, proc.mem);
+    Alloc& alloc = find_or_create_alloc(out.view(), elem, mem);
     alloc.held.assign(elem, sout.version_counter);
     alloc.ready.assign(elem, done);
     max_done = std::max(max_done, done);
@@ -1270,7 +1248,30 @@ Future Runtime::execute(TaskLauncher& L) {
 }
 
 void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
-  const auto& pp = machine_.params();
+  const detail::LaunchBoard board = begin_launch(R, deferred);
+  const double t_launch = engine_->control_advance(task_overhead_, R.name);
+  if (R.eager_parts.empty()) eager_solve(R);  // sequential records
+  const std::vector<std::uint64_t> key_of = account_partitions(R);
+  bool poisoned = pin_launch(R);
+  run_leaves_inline(R, deferred);
+  const std::vector<double> dep_time = analyze(R, t_launch);
+  detail::Mapped m = comm_on_ ? comm_pass_b(R, dep_time, t_launch)
+                              : stage_pieces(R, dep_time, t_launch);
+  poisoned = poisoned || m.exhausted;
+  publish(R, m, key_of, poisoned);
+  const double done = reduce_stores(R, m.max_completion, poisoned);
+  pinned_.clear();
+  R.result = reduce_scalar(R, m.partials, done, poisoned);
+  auto& fr = engine_->flight();
+  if (fr.enabled()) {
+    fr.record(diag::EventKind::Retire, R.name, R.colors, poisoned ? 1 : 0, done);
+  }
+  fr.progress();
+}
+
+// Surface deferred leaf errors, poll faults, verify-on-read, and publish the
+// launch on the flight-recorder board.
+detail::LaunchBoard Runtime::begin_launch(LaunchRecord& R, bool deferred) {
   if (deferred) {
     // Leaves already ran on the pool; surface the first (lowest-color) leaf
     // failure at the fence, in issue order.
@@ -1278,8 +1279,8 @@ void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
   }
   poll_faults();
   // Verify-on-read: every argument whose current bytes this launch consumes
-  // (including image-constraint sources read during partitioning below) is
-  // checked against the ledger before any real work observes it.
+  // (including image-constraint sources read during partitioning) is checked
+  // against the ledger before any real work observes it.
   if (!deferred && opts_.integrity != Integrity::Off) {
     for (const auto& a : R.args) {
       if (a.priv != Priv::Read && a.priv != Priv::ReadWrite) continue;
@@ -1294,32 +1295,18 @@ void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
   // board is cleared even on the exception paths (OOM, surfaced leaf
   // errors) — a dead launch must not keep the watchdog's busy signal high.
   auto& fr = engine_->flight();
-  struct LaunchScope {
-    diag::FlightRecorder& fr;
-    explicit LaunchScope(diag::FlightRecorder& f) : fr(f) {}
-    ~LaunchScope() { fr.end_launch(); }
-  };
-  std::optional<LaunchScope> diag_scope;
-  if (fr.enabled()) {
-    fr.begin_launch(R.name, static_cast<long>(pending_launches()));
-    fr.record(diag::EventKind::Launch, R.name,
-              static_cast<std::int64_t>(R.args.size()));
-    diag_scope.emplace(fr);
-  }
-  double t_launch = engine_->control_advance(task_overhead_, R.name);
+  if (!fr.enabled()) return nullptr;
+  fr.begin_launch(R.name, static_cast<long>(pending_launches()));
+  fr.record(diag::EventKind::Launch, R.name, static_cast<std::int64_t>(R.args.size()));
+  return detail::LaunchBoard(&fr);
+}
 
-  // ---- 1. Solve (sequential records not solved at issue) ----------------
-  if (R.eager_parts.empty()) eager_solve(R);
+// Partition accounting (Section 4.1). The content is solved; the replay
+// tracks which partitions the runtime creates and reuses, by identity.
+// ident[i] is argument i's partition identity (it keys the image accounting
+// of chains); key_of[i] is the key identity its store adopts in Pass C.
+std::vector<std::uint64_t> Runtime::account_partitions(const LaunchRecord& R) {
   const int nargs = static_cast<int>(R.args.size());
-  const int colors = R.colors;
-  const auto& point_ivs = R.ivs;
-  const auto& all_empty = R.all_empty;
-
-  // ---- 2. Partition accounting (Section 4.1) ----------------------------
-  // The content is solved; the replay tracks which partitions the runtime
-  // creates and reuses, by identity. ident[i] is argument i's partition
-  // identity (it keys the image accounting of chains); key_of[i] is the key
-  // identity its store adopts in Pass C (0 = keep the current key).
   std::vector<std::uint64_t> ident(static_cast<std::size_t>(nargs), 0);
   std::vector<std::uint64_t> key_of(static_cast<std::size_t>(nargs), 0);
   auto fresh = [this] {
@@ -1351,7 +1338,7 @@ void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
       });
       for (int m : order) {
         const auto& ss = sync(R.args[m].view.id);
-        if (ss.key_uid != 0 && ss.key_colors == colors) {
+        if (ss.key_uid != 0 && ss.key_colors == R.colors) {
           keyed = ss.key_uid;
           break;
         }
@@ -1408,10 +1395,13 @@ void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
       }
     }
   }
+  return key_of;
+}
 
-  // Pin this launch's stores so OOM spilling never evicts in-flight
-  // arguments, and compute launch-level poison: a poisoned future dependence
-  // or a poisoned input taints everything this launch writes.
+// Pin the launch's stores: never OOM spill victims while it is in flight.
+// Returns whether a poisoned future dependence or a poisoned input taints
+// everything this launch writes.
+bool Runtime::pin_launch(const LaunchRecord& R) {
   bool poisoned = R.poisoned_dep;
   for (const auto& a : R.args) {
     pinned_.insert(a.view.id);
@@ -1419,7 +1409,12 @@ void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
       poisoned = true;
     }
   }
+  return poisoned;
+}
 
+// Inline leaves (deferred records ran theirs on the pool), then the
+// work-spread gauges over the leaf-recorded per-point costs.
+void Runtime::run_leaves_inline(LaunchRecord& R, bool deferred) {
   if (!deferred) {
     // The leaves below rewrite what this launch writes: memoized images of
     // those stores are stale from here on (the pipelined path bumps at
@@ -1440,172 +1435,171 @@ void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
       integrity_after_leaves(R);
     }
   }
-
-  // Work-spread gauges over the leaf-recorded per-point costs (replay path,
-  // so Stable): how well the chosen row split balanced this launch.
-  if (colors > 1) {
-    double max_work = 0, total_work = 0;
-    int busy = 0;
-    for (int c = 0; c < colors; ++c) {
-      if (all_empty[static_cast<std::size_t>(c)] != 0) continue;
-      const auto& cost = R.out[static_cast<std::size_t>(c)].cost;
-      double work = cost.bytes + cost.flops;
-      max_work = std::max(max_work, work);
-      total_work += work;
-      ++busy;
-    }
-    if (busy > 0 && total_work > 0) {
-      double mean_work = total_work / colors;
-      met_.part_max_work.set(max_work);
-      met_.part_mean_work.set(mean_work);
-      met_.part_imbalance_pct.set(100.0 * (max_work / mean_work - 1.0));
-    }
+  // Replay path, so Stable: how well the chosen row split balanced this
+  // launch.
+  if (R.colors <= 1) return;
+  double max_work = 0, total_work = 0;
+  int busy = 0;
+  for (int c = 0; c < R.colors; ++c) {
+    if (R.all_empty[static_cast<std::size_t>(c)] != 0) continue;
+    const auto& cost = R.out[static_cast<std::size_t>(c)].cost;
+    double work = cost.bytes + cost.flops;
+    max_work = std::max(max_work, work);
+    total_work += work;
+    ++busy;
   }
+  if (busy > 0 && total_work > 0) {
+    double mean_work = total_work / R.colors;
+    met_.part_max_work.set(max_work);
+    met_.part_mean_work.set(mean_work);
+    met_.part_imbalance_pct.set(100.0 * (max_work / mean_work - 1.0));
+  }
+}
 
-  // ---- 3. Pass A: dependence analysis against pre-launch state -----------
-  double t_base = std::max(t_launch, R.future_dep);
-  std::vector<double> dep_time(static_cast<std::size_t>(colors), t_base);
-  for (int c = 0; c < colors; ++c) {
-    double t = t_base;
-    for (int i = 0; i < nargs; ++i) {
-      const auto& a = R.args[i];
-      Interval iv = point_ivs[static_cast<std::size_t>(c)][i];
-      Interval elem{iv.lo * a.view.stride, iv.hi * a.view.stride};
+// Pass A: dependence analysis against pre-launch state. Every argument waits
+// for the writers of its piece (RAW for reads, WAW for writes); writes also
+// wait for the readers they supersede (WAR).
+std::vector<double> Runtime::analyze(const LaunchRecord& R, double t_launch) {
+  std::vector<double> dep_time(static_cast<std::size_t>(R.colors),
+                               std::max(t_launch, R.future_dep));
+  for (int c = 0; c < R.colors; ++c) {
+    double& t = dep_time[static_cast<std::size_t>(c)];
+    for (int i = 0; i < static_cast<int>(R.args.size()); ++i) {
+      const auto& a = R.args[static_cast<std::size_t>(i)];
+      const Interval elem = R.elem(c, i);
       if (elem.empty()) continue;
       auto& ss = sync(a.view.id);
-      if (a.priv != Priv::WriteDiscard) {
-        // RAW: wait for writers of data we read (also ReadWrite/Reduce).
-        ss.last_write.for_each_in(elem,
-                                  [&](Interval, double w) { t = std::max(t, w); });
-      }
-      if (a.priv != Priv::Read) {
-        // WAW + WAR.
-        ss.last_write.for_each_in(elem,
-                                  [&](Interval, double w) { t = std::max(t, w); });
-        for (auto& [riv, rt_] : ss.readers) {
-          if (riv.overlaps(elem)) t = std::max(t, rt_);
-        }
+      ss.last_write.for_each_in(elem, [&](Interval, double w) { t = std::max(t, w); });
+      if (a.priv == Priv::Read) continue;
+      for (auto& [riv, rt_] : ss.readers) {
+        if (riv.overlaps(elem)) t = std::max(t, rt_);
       }
     }
-    dep_time[c] = t;
   }
+  return dep_time;
+}
 
-  // ---- 4. Pass B: map, move data, account execution ----------------------
-  std::vector<double> completion(static_cast<std::size_t>(colors), t_launch);
-  std::vector<int> point_mem(static_cast<std::size_t>(colors), machine_.home_memory());
-  std::vector<double> partials;
-  double max_completion = t_launch;
-
-  if (comm_on_) {
-    // Comm planner (src/comm, DESIGN.md §15): the staleness copies below are
-    // materialized into a cached ExchangePlan and charged as coalesced
-    // per-link transfers instead; canonical results are identical. The
-    // planner never runs with fault injection, so the retry loop in the
-    // per-piece path has no comm counterpart.
-    comm_pass_b(R, dep_time, completion, point_mem, partials, max_completion);
-  } else {
-  for (int c = 0; c < colors; ++c) {
-    // Mapper: consistent color -> processor assignment across libraries.
-    int proc_id = c % machine_.num_procs();
-    const auto& proc = machine_.proc(proc_id);
-    point_mem[static_cast<std::size_t>(c)] = proc.mem;
-
-    if (all_empty[static_cast<std::size_t>(c)] != 0) {
-      completion[static_cast<std::size_t>(c)] = dep_time[static_cast<std::size_t>(c)];
-      continue;
-    }
-
-    // Stage the data (allocation + validity machinery).
-    double data_ready = dep_time[static_cast<std::size_t>(c)];
-    for (int i = 0; i < nargs; ++i) {
-      const auto& a = R.args[i];
+// Pass B, per-piece strategy: per color, stage every argument (staleness
+// copies piece by piece), then charge the kernel.
+detail::Mapped Runtime::stage_pieces(const LaunchRecord& R,
+                                     const std::vector<double>& dep_time,
+                                     double t_launch) {
+  detail::Mapped m(machine_, dep_time, t_launch);
+  for (int c = 0; c < R.colors; ++c) {
+    const auto cc = static_cast<std::size_t>(c);
+    if (R.all_empty[cc] != 0) continue;
+    // Stage the data (allocation + validity machinery), then charge.
+    double ready = dep_time[cc];
+    for (int i = 0; i < static_cast<int>(R.args.size()); ++i) {
+      const auto& a = R.args[static_cast<std::size_t>(i)];
       if (a.priv == Priv::Reduce) continue;  // partials live in temp buffers
-      Interval iv = point_ivs[static_cast<std::size_t>(c)][i];
-      Interval elem{iv.lo * a.view.stride, iv.hi * a.view.stride};
-      bool discard = a.priv == Priv::WriteDiscard;
-      const IntervalSet* precise =
-          a.view.stride == 1 ? R.eager_parts[i]->precise(c) : nullptr;
-      data_ready = std::max(
-          data_ready, ensure_in_memory(a.view, elem, proc.mem, discard, precise));
+      ready = std::max(ready, ensure_in_memory(a.view, R.elem(c, i), m.point_mem[cc],
+                                               a.priv == Priv::WriteDiscard,
+                                               R.precise(c, i)));
     }
+    charge_color(R, c, m, ready, ready, 0);
+  }
+  return m;
+}
 
-    // Charge the recorded leaf cost (the real execution already happened in
-    // run_leaves — inline for this launch, or earlier on the pool).
-    const auto& po = R.out[static_cast<std::size_t>(c)];
-    if (po.contributed) partials.push_back(po.partial);
-    sim::Cost cost = po.cost;
-    if (opts_.model_reshape && proc.kind == sim::ProcKind::GPU) {
-      cost.bytes += po.reshape * pp.legate_csr_reshape_fraction;
-    }
-    cost.bytes *= engine_->cost_scale();
-    cost.flops *= engine_->cost_scale();
-    double duration = engine_->cost_model().kernel_seconds(
-        proc.kind, cost, proc.kind == sim::ProcKind::CPU ? cpu_fraction_ : 1.0);
-    if (proc.kind == sim::ProcKind::GPU) duration += pp.gpu_kernel_launch;
-    engine_->note_task();
-    // Transient-fault model. The leaf ran exactly once, so canonical data is
-    // always the fault-free bits; failures cost only time and metadata. Each
-    // failed attempt occupies the processor for part of the duration, then
-    // pays detection latency and exponential backoff before the retry.
-    // Exhausting max_attempts poisons the launch instead of producing a
-    // wrong value.
-    long seq = task_seq_++;
-    double start_ready = data_ready;
-    bool exhausted = false;
+void Runtime::charge_color(const LaunchRecord& R, int c, detail::Mapped& m,
+                           double gate, double interior, double ghost_bytes) {
+  // The real execution already happened in run_leaves (inline for this
+  // launch, or earlier on the pool); only its recorded cost is charged.
+  const auto cc = static_cast<std::size_t>(c);
+  const auto& po = R.out[cc];
+  if (po.contributed) m.partials.push_back(po.partial);
+  const auto [done, exhausted] = charge_point(
+      {.proc = c % machine_.num_procs(), .cost = po.cost, .reshape = po.reshape,
+       .gate = gate, .interior = interior, .ghost_bytes = ghost_bytes,
+       .wall0 = R.wall_prof ? po.wall0 : -1, .wall1 = po.wall1},
+      R.prof_label);
+  m.completion[cc] = done;
+  m.max_completion = std::max(m.max_completion, done);
+  m.exhausted = m.exhausted || exhausted;
+}
+
+// The point-kernel charge (Section 4.2 "charge its kernel"): roofline cost
+// with the reshape term and cost scaling, GPU launch overhead, the transient
+// fault loop keyed on task_seq_, the Overlap interior/boundary split and the
+// measured-wall pairing. Both Pass B strategies and shuffle's repack call it.
+std::pair<double, bool> Runtime::charge_point(const detail::PointKernel& k,
+                                              std::string_view label) {
+  const auto& pp = machine_.params();
+  const auto& proc = machine_.proc(k.proc);
+  sim::Cost cost = k.cost;
+  if (opts_.model_reshape && proc.kind == sim::ProcKind::GPU) {
+    cost.bytes += k.reshape * pp.legate_csr_reshape_fraction;
+  }
+  cost.bytes *= engine_->cost_scale();
+  cost.flops *= engine_->cost_scale();
+  double duration = engine_->cost_model().kernel_seconds(
+      proc.kind, cost, proc.kind == sim::ProcKind::CPU ? cpu_fraction_ : 1.0);
+  if (proc.kind == sim::ProcKind::GPU) duration += pp.gpu_kernel_launch;
+  engine_->note_task();
+  // Transient-fault model. The leaf ran exactly once, so canonical data is
+  // always the fault-free bits; failures cost only time and metadata. Each
+  // failed attempt occupies the processor for part of the duration from the
+  // gate, then pays detection latency and exponential backoff before the
+  // retry. Exhausting max_attempts poisons the launch instead of producing
+  // a wrong value: the point never completes healthy, and dependences
+  // advance at the time the permanent failure is detected.
+  double start = k.gate;
+  int attempt = 0;
+  if (k.faults) {
+    const long seq = task_seq_++;
     if (injector_ != nullptr) {
       const auto& fc = injector_->config();
-      int attempt = 0;
       while (injector_->should_fail(seq, attempt)) {
         engine_->note_fault();
-        double wasted = duration * injector_->fail_fraction(seq, attempt);
-        double failed_at =
-            engine_->busy_proc(proc_id, start_ready, wasted, R.prof_label);
-        double detected = failed_at + fc.detect_seconds;
-        ++attempt;
-        if (attempt >= fc.max_attempts) {
-          exhausted = true;
-          start_ready = detected;
-          break;
+        const double wasted = duration * injector_->fail_fraction(seq, attempt);
+        const double detected =
+            engine_->busy_proc(k.proc, start, wasted, label) + fc.detect_seconds;
+        if (++attempt >= fc.max_attempts) {
+          engine_->bump_to(detected);
+          return {detected, true};
         }
         engine_->note_retry();
-        start_ready =
-            detected + fc.backoff_seconds * std::pow(2.0, attempt - 1);
+        start = detected + fc.backoff_seconds * std::pow(2.0, attempt - 1);
       }
     }
-    double done;
-    if (exhausted) {
-      // The point never completes healthy; dependences advance at the time
-      // the permanent failure is detected.
-      poisoned = true;
-      done = start_ready;
-      engine_->bump_to(done);
-    } else {
-      done = engine_->busy_proc(proc_id, start_ready, duration, R.prof_label);
-      // Pair the simulated event with the measured wall-clock interval of
-      // the real leaf execution (Chrome trace wall process).
-      if (R.wall_prof && po.wall0 >= 0) {
-        engine_->recorder().set_last_wall(po.wall0, po.wall1);
-      }
-    }
-    completion[static_cast<std::size_t>(c)] = done;
-    max_completion = std::max(max_completion, done);
   }
-  }  // !comm_on_
+  double done;
+  if (attempt == 0 && comm_mode_ == comm::Mode::Overlap && k.ghost_bytes > 0 &&
+      k.cost.bytes > 0 && duration > 0 && k.gate > k.interior) {
+    // Interior/boundary split: the fraction of the leaf's traffic that is
+    // ghost data bounds the boundary phase; the interior (capped at half the
+    // kernel so a ghost-dominated task still overlaps something) starts on
+    // local data alone, hiding the exchange behind it. A retried point runs
+    // unsplit from its last backoff.
+    const double frac = std::min(0.5, k.ghost_bytes / k.cost.bytes);
+    const double t_int =
+        engine_->busy_proc(k.proc, k.interior, duration * (1.0 - frac), label);
+    done = engine_->busy_proc(k.proc, std::max(t_int, k.gate), duration * frac, label);
+    met_.comm_overlap_splits.inc();
+  } else {
+    done = engine_->busy_proc(k.proc, start, duration, label);
+  }
+  // Pair the simulated event with the measured wall-clock interval of the
+  // real leaf execution (Chrome trace wall process).
+  if (k.wall0 >= 0) engine_->recorder().set_last_wall(k.wall0, k.wall1);
+  return {done, false};
+}
 
-  // ---- 5. Pass C: publish writes into the dependence state ---------------
-  for (int i = 0; i < nargs; ++i) {
-    const auto& a = R.args[i];
-    if (a.priv == Priv::Read) continue;
+// Pass C: publish writes into the dependence state.
+void Runtime::publish(const LaunchRecord& R, const detail::Mapped& m,
+                      const std::vector<std::uint64_t>& key_of, bool poisoned) {
+  for (int i = 0; i < static_cast<int>(R.args.size()); ++i) {
+    const auto& a = R.args[static_cast<std::size_t>(i)];
+    if (a.priv == Priv::Read || a.priv == Priv::Reduce) continue;  // below / reduce_stores
     auto& ss = sync(a.view.id);
-    if (a.priv == Priv::Reduce) continue;  // handled below
     ++ss.version_counter;
     ++ss.epoch;
-    for (int c = 0; c < colors; ++c) {
-      Interval iv = point_ivs[static_cast<std::size_t>(c)][i];
-      Interval elem{iv.lo * a.view.stride, iv.hi * a.view.stride};
+    for (int c = 0; c < R.colors; ++c) {
+      const Interval elem = R.elem(c, i);
       if (elem.empty()) continue;
-      int mem = point_mem[static_cast<std::size_t>(c)];
-      double done = completion[static_cast<std::size_t>(c)];
+      const int mem = m.point_mem[static_cast<std::size_t>(c)];
+      const double done = m.completion[static_cast<std::size_t>(c)];
       ss.version.assign(elem, ss.version_counter);
       ss.owner.assign(elem, mem);
       ss.last_write.assign(elem, done);
@@ -1616,10 +1610,8 @@ void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
     }
     // Writes clear the reader set they superseded.
     std::erase_if(ss.readers, [&](const std::pair<Interval, double>& r) {
-      for (int c = 0; c < colors; ++c) {
-        Interval iv = point_ivs[static_cast<std::size_t>(c)][i];
-        Interval elem{iv.lo * a.view.stride, iv.hi * a.view.stride};
-        if (r.first.overlaps(elem)) return true;
+      for (int c = 0; c < R.colors; ++c) {
+        if (r.first.overlaps(R.elem(c, i))) return true;
       }
       return false;
     });
@@ -1630,10 +1622,7 @@ void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
       diag_note_poison(a.view.id, "retry-exhausted");
     } else if (poisoned_stores_.count(a.view.id) > 0) {
       IntervalSet written;
-      for (int c = 0; c < colors; ++c) {
-        Interval iv = point_ivs[static_cast<std::size_t>(c)][i];
-        written.add({iv.lo * a.view.stride, iv.hi * a.view.stride});
-      }
+      for (int c = 0; c < R.colors; ++c) written.add(R.elem(c, i));
       if (written.size_within(a.view.extent()) == a.view.volume) {
         poisoned_stores_.erase(a.view.id);
       }
@@ -1642,37 +1631,39 @@ void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
     // groups adopt their equal-structured stand-in, never the pin).
     if (key_of[static_cast<std::size_t>(i)] != 0) {
       ss.key_uid = key_of[static_cast<std::size_t>(i)];
-      ss.key_colors = colors;
+      ss.key_colors = R.colors;
     }
   }
   // Reads register for WAR tracking; read-only stores also adopt the
   // partition they were last used with as their key partition, so future
   // launches (and their cached images) can align with them — read-mostly
   // data like a solver's matrix would otherwise never anchor reuse.
-  for (int i = 0; i < nargs; ++i) {
-    const auto& a = R.args[i];
+  for (int i = 0; i < static_cast<int>(R.args.size()); ++i) {
+    const auto& a = R.args[static_cast<std::size_t>(i)];
     if (a.priv != Priv::Read) continue;
     auto& ss = sync(a.view.id);
-    for (int c = 0; c < colors; ++c) {
-      Interval iv = point_ivs[static_cast<std::size_t>(c)][i];
-      Interval elem{iv.lo * a.view.stride, iv.hi * a.view.stride};
+    for (int c = 0; c < R.colors; ++c) {
+      const Interval elem = R.elem(c, i);
       if (!elem.empty())
-        ss.readers.emplace_back(elem, completion[static_cast<std::size_t>(c)]);
+        ss.readers.emplace_back(elem, m.completion[static_cast<std::size_t>(c)]);
     }
     if (ss.key_uid == 0 && key_of[static_cast<std::size_t>(i)] != 0) {
       ss.key_uid = key_of[static_cast<std::size_t>(i)];
-      ss.key_colors = colors;
+      ss.key_colors = R.colors;
     }
   }
+}
 
-  // ---- 6. Store reductions: all-reduce + replication ---------------------
-  // (The real write-back of the folded partials happened in run_leaves, in
-  // fixed color order; only the simulated collective is charged here.)
-  for (int i = 0; i < nargs; ++i) {
-    const auto& a = R.args[i];
+// Store reductions: all-reduce + replication; returns the launch's final
+// completion. (The real write-back of the folded partials happened in
+// run_leaves, in fixed color order; only the simulated collective is
+// charged here.)
+double Runtime::reduce_stores(const LaunchRecord& R, double max_completion,
+                              bool poisoned) {
+  for (const auto& a : R.args) {
     if (a.priv != Priv::Reduce) continue;
     double bytes = static_cast<double>(a.view.volume) * sizeof(double);
-    double t_red = engine_->allreduce_bytes(colors, bytes, max_completion, true);
+    double t_red = engine_->allreduce_bytes(R.colors, bytes, max_completion, true);
     auto& ss = sync(a.view.id);
     ++ss.version_counter;
     ++ss.epoch;
@@ -1699,19 +1690,17 @@ void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
     }
     max_completion = std::max(max_completion, t_red);
   }
-  pinned_.clear();
+  return max_completion;
+}
 
-  // ---- 7. Scalar reduction future -----------------------------------------
+// The scalar reduction future: partials folded in color order.
+Future Runtime::reduce_scalar(const LaunchRecord& R, const std::vector<double>& partials,
+                              double ready, bool poisoned) {
   Future fut;
   if (R.has_redop) {
-    double v = 0;
-    bool first = true;
-    for (double p : partials) {
-      if (first) {
-        v = p;
-        first = false;
-        continue;
-      }
+    double v = partials.empty() ? 0.0 : partials.front();
+    for (std::size_t k = 1; k < partials.size(); ++k) {
+      const double p = partials[k];
       switch (*R.redop) {
         case ScalarRedop::Sum: v += p; break;
         case ScalarRedop::Max: v = std::max(v, p); break;
@@ -1719,16 +1708,11 @@ void Runtime::sim_apply(LaunchRecord& R, bool deferred) {
       }
     }
     fut.value = v;
-    fut.ready = engine_->allreduce(colors, max_completion, true);
+    fut.ready = engine_->allreduce(R.colors, ready, true);
     fut.valid = true;
   }
   fut.poisoned = poisoned;
-  R.result = fut;
-  if (fr.enabled()) {
-    fr.record(diag::EventKind::Retire, R.name, colors, poisoned ? 1 : 0,
-              max_completion);
-  }
-  fr.progress();
+  return fut;
 }
 
 void Runtime::diag_note_poison(StoreId id, const char* why, bool allow_dump) {

@@ -6,6 +6,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -31,6 +32,10 @@ class TaskLauncher;
 
 namespace detail {
 struct LaunchRecord;
+struct EndLaunch;
+using LaunchBoard = std::unique_ptr<diag::FlightRecorder, EndLaunch>;
+struct Mapped;
+struct PointKernel;
 }
 
 /// Access privilege of a task argument.
@@ -286,10 +291,10 @@ struct RuntimeOptions {
   /// splitting so compute overlaps the exchange (`overlap`). Unset reads the
   /// LSR_COMM environment variable (`off|plan|overlap`), defaulting to Off.
   /// Results are bit-identical across modes and exec thread counts; only the
-  /// simulated copy schedule changes. Fault injection disables the planner
-  /// (its per-point retry accounting needs the per-piece staging path), as
-  /// does the coalescing=false ablation (plans assume disjoint allocation
-  /// extents).
+  /// simulated copy schedule changes. The planner composes with fault
+  /// injection (both Pass B strategies share one point charge, retries
+  /// included); only the coalescing=false ablation disables it (plans
+  /// assume disjoint allocation extents).
   comm::Mode comm = comm::Mode::Unset;
 };
 
@@ -402,8 +407,8 @@ class Runtime {
   }
 
   // -- communication planner (src/comm) --------------------------------------
-  /// Whether the comm planner is active (mode plan/overlap, fault injection
-  /// off, allocation coalescing on). Resolved once in the constructor.
+  /// Whether the comm planner is active (mode plan/overlap and allocation
+  /// coalescing on). Resolved once in the constructor.
   [[nodiscard]] bool comm_enabled() const { return comm_on_; }
   /// Resolved comm mode (never Unset).
   [[nodiscard]] comm::Mode comm_mode() const { return comm_mode_; }
@@ -512,6 +517,7 @@ class Runtime {
   struct Alloc;
   struct MemState;
 
+  void register_metrics();  ///< constructor only
   /// Image accounting: identity of the dependent partition of `src` under
   /// the partition identity `src_part`. A miss charges the dependent-
   /// partitioning control time and counts a created partition; the content
@@ -540,12 +546,34 @@ class Runtime {
   /// Run the launch's leaf bodies for real (inline, or parallel-for on the
   /// pool) and fold Reduce partials in fixed color order.
   void run_leaves(detail::LaunchRecord& R);
-  /// The launch's simulated half: partition accounting (key-partition
-  /// reuse and image caching over the solved content), dependence analysis,
-  /// staging, time accounting, write publication, consuming the recorded
-  /// per-point costs. When `deferred`, leaves already ran; otherwise solves
-  /// the record (if not yet solved) and runs them in place.
+  /// The launch's simulated half, a short sequence of the stages below.
+  /// When `deferred`, leaves already ran; otherwise solves the record (if
+  /// not yet solved) and runs them in place.
   void sim_apply(detail::LaunchRecord& R, bool deferred);
+  // sim_apply's stages, in order (runtime.cpp; comm_pass_b, the planner's
+  // Pass B, in runtime_comm.cpp). Each hands a typed result to the next.
+  detail::LaunchBoard begin_launch(detail::LaunchRecord& R, bool deferred);
+  std::vector<std::uint64_t> account_partitions(const detail::LaunchRecord& R);
+  bool pin_launch(const detail::LaunchRecord& R);
+  void run_leaves_inline(detail::LaunchRecord& R, bool deferred);
+  std::vector<double> analyze(const detail::LaunchRecord& R, double t_launch);
+  detail::Mapped stage_pieces(const detail::LaunchRecord& R,
+                              const std::vector<double>& dep_time, double t_launch);
+  void publish(const detail::LaunchRecord& R, const detail::Mapped& m,
+               const std::vector<std::uint64_t>& key_of, bool poisoned);
+  double reduce_stores(const detail::LaunchRecord& R, double max_completion,
+                       bool poisoned);
+  Future reduce_scalar(const detail::LaunchRecord& R,
+                       const std::vector<double>& partials, double ready,
+                       bool poisoned);
+  /// Charge launch point `c` through charge_point and land it in `m`.
+  void charge_color(const detail::LaunchRecord& R, int c, detail::Mapped& m,
+                    double gate, double interior, double ghost_bytes);
+  /// The one point-kernel charge, shared by both Pass B strategies and
+  /// shuffle's repack: returns (completion, retries exhausted). See the
+  /// definition in runtime.cpp.
+  std::pair<double, bool> charge_point(const detail::PointKernel& k,
+                                       std::string_view label);
   /// Submit the record's real work as a task-graph node with dependence
   /// edges from the per-store reader/writer hazard state.
   void enqueue_record(const std::shared_ptr<detail::LaunchRecord>& R);
@@ -565,19 +593,30 @@ class Runtime {
   std::shared_ptr<detail::LaunchRecord> make_fused_record(
       std::vector<std::shared_ptr<detail::LaunchRecord>> children);
   // -- comm-planner internals (src/rt/runtime_comm.cpp) ----------------------
-  /// Pass B of sim_apply when the comm planner is active: stage allocations,
+  /// Pass B of sim_apply when the comm planner is active: stage instances,
   /// look up or derive the launch's ExchangePlan, charge the coalesced
-  /// transfers on the link model, and charge the kernels (split into
-  /// interior/boundary phases under Overlap). Bit-identical canonical
-  /// results to the per-piece path — only simulated copy ops differ.
-  void comm_pass_b(detail::LaunchRecord& R,
-                   const std::vector<double>& dep_time,
-                   std::vector<double>& completion, std::vector<int>& point_mem,
-                   std::vector<double>& partials, double& max_completion);
-  /// First allocation of `id` in `mem` covering `elem`, or null. Unlike
-  /// find_or_create_alloc this never allocates, touches LRU state, or bumps
-  /// metrics — safe for signature computation.
-  [[nodiscard]] Alloc* comm_find_alloc(StoreId id, Interval elem, int mem) const;
+  /// transfers on the link model, and charge the kernels through
+  /// charge_point. Bit-identical canonical results to the per-piece path —
+  /// only simulated copy ops differ. Its stages follow, in order.
+  detail::Mapped comm_pass_b(const detail::LaunchRecord& R,
+                             const std::vector<double>& dep_time, double t_launch);
+  std::vector<double> comm_instances(const detail::LaunchRecord& R,
+                                     const std::vector<int>& point_mem,
+                                     const std::vector<double>& dep_time);
+  std::uint64_t comm_key(const detail::LaunchRecord& R, const std::vector<int>& keyed) const;
+  std::uint64_t comm_signature(const detail::LaunchRecord& R, const std::vector<int>& keyed,
+                               const std::vector<int>& point_mem);
+  comm::ExchangePlan comm_derive(const detail::LaunchRecord& R, const std::vector<int>& keyed,
+                                 const std::vector<int>& point_mem, std::uint64_t sig);
+  void comm_apply(const detail::LaunchRecord& R, const std::vector<int>& keyed,
+                  const comm::ExchangePlan& plan);
+  std::vector<double> comm_gate(const detail::LaunchRecord& R, const std::vector<int>& keyed,
+                                const std::vector<int>& point_mem,
+                                const std::vector<double>& local_ready);
+  /// The allocation staging gave `id` in `mem` covering `elem` (checked:
+  /// staging pins every argument). Unlike find_or_create_alloc this never
+  /// allocates, touches LRU state, or bumps metrics.
+  [[nodiscard]] Alloc& staged_alloc(StoreId id, Interval elem, int mem) const;
   /// Drop cached exchange plans touching `id` (store mutation/destruction/
   /// shuffle/restore) and bump the invalidation counter. No-op when the
   /// planner is off.

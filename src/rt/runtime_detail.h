@@ -80,6 +80,57 @@ struct LaunchRecord {
     }
     return nullptr;
   }
+
+  /// Point `c`'s piece of argument `i` in element coordinates.
+  [[nodiscard]] Interval elem(int c, int i) const {
+    const Interval iv = ivs[static_cast<std::size_t>(c)][static_cast<std::size_t>(i)];
+    const coord_t stride = args[static_cast<std::size_t>(i)].view.stride;
+    return {iv.lo * stride, iv.hi * stride};
+  }
+  /// Point `c`'s precise touched subset of argument `i` (sparse images), or
+  /// null when the whole piece is touched or the argument is strided.
+  [[nodiscard]] const IntervalSet* precise(int c, int i) const {
+    return args[static_cast<std::size_t>(i)].view.stride == 1
+               ? eager_parts[static_cast<std::size_t>(i)]->precise(c)
+               : nullptr;
+  }
+};
+
+/// Clears a launch's flight-recorder board entry (LaunchBoard) when the
+/// launch retires or unwinds.
+struct EndLaunch {
+  void operator()(diag::FlightRecorder* fr) const { fr->end_launch(); }
+};
+
+/// Pass B's result: where each point ran and when it finished. Color c maps
+/// to processor c mod P, consistently across libraries; points with no work
+/// complete when their dependences are met.
+struct Mapped {
+  Mapped(const sim::Machine& machine, const std::vector<double>& dep_time,
+         double t_launch)
+      : completion(dep_time), max_completion(t_launch) {
+    for (std::size_t c = 0; c < dep_time.size(); ++c) {
+      point_mem.push_back(machine.proc(static_cast<int>(c) % machine.num_procs()).mem);
+    }
+  }
+  std::vector<int> point_mem;      ///< per color: the mapped processor's memory
+  std::vector<double> completion;  ///< per color: the kernel's completion
+  std::vector<double> partials;    ///< scalar contributions, in color order
+  double max_completion;
+  bool exhausted{false};  ///< some point ran out of retries: poison the launch
+};
+
+/// One point kernel for Runtime::charge_point: a launch point of either
+/// Pass B strategy, or one of shuffle's repack kernels.
+struct PointKernel {
+  int proc{0};
+  sim::Cost cost;         ///< recorded cost, before cost scaling
+  double reshape{0};      ///< CSR reshape bytes (charged on GPUs when modeled)
+  double gate{0};         ///< every input is present
+  double interior{0};     ///< local inputs present (Overlap interior start)
+  double ghost_bytes{0};  ///< ghost share of cost.bytes (> 0: Overlap may split)
+  bool faults{true};      ///< draws transient faults by point sequence number
+  double wall0{-1}, wall1{-1};  ///< measured leaf interval to pair, if any
 };
 
 /// Structural image-partition computation: scan the source argument's real

@@ -33,6 +33,45 @@ struct Runtime::Alloc {
   double esize{8};     ///< bytes per element (needed to release/spill by id)
 };
 
+/// The staleness walk (Section 4.2) of both Pass B strategies: for every run
+/// `iv` of `elem` (restricted to `precise`, when given) holding written data
+/// at version v > 0, `fn(iv, v, stale)` gets the pieces of `iv` that `held`
+/// lacks at version v.
+template <typename F>
+void for_each_stale(const IntervalMap<std::uint64_t>& version,
+                    const IntervalMap<std::uint64_t>& held, Interval elem,
+                    const IntervalSet* precise, F&& fn) {
+  std::vector<std::pair<Interval, std::uint64_t>> required;
+  auto collect = [&](Interval range) {
+    version.for_each_in(
+        range, [&](Interval iv, std::uint64_t v) { required.emplace_back(iv, v); });
+  };
+  if (precise != nullptr) {
+    precise->for_each(elem, collect);
+  } else {
+    collect(elem);
+  }
+  for (auto& [iv, v] : required) {
+    if (v == 0) continue;
+    std::vector<Interval> stale;
+    held.for_each_in(iv, [&](Interval piece, std::uint64_t held_v) {
+      if (held_v < v) stale.push_back(piece);
+    });
+    held.for_each_gap(iv, [&](Interval gap) { stale.push_back(gap); });
+    fn(iv, v, stale);
+  }
+}
+
+/// Each run of `piece` with the memory owning its latest version (`home` for
+/// never-written runs): the sources of a staleness copy.
+inline std::vector<std::pair<Interval, int>> owner_runs(const IntervalMap<int>& owner,
+                                                        Interval piece, int home) {
+  std::vector<std::pair<Interval, int>> sources;
+  owner.for_each_in(piece, [&](Interval p, int m) { sources.emplace_back(p, m); });
+  owner.for_each_gap(piece, [&](Interval p) { sources.emplace_back(p, home); });
+  return sources;
+}
+
 struct Runtime::MemState {
   std::unordered_map<StoreId, std::vector<Alloc>> allocs;
   /// Extents of allocations whose stores went out of scope. New requirements

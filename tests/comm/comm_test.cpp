@@ -228,13 +228,15 @@ TEST(CommRuntime, ModeGates) {
     EXPECT_EQ(rt.comm_mode(), comm::Mode::Overlap);
   }
   {
-    // Fault injection retries launches; plans must not be replayed around it.
+    // The planner composes with fault injection: retries go through the
+    // same point charge as the per-piece path (see tests/rt/recovery_test).
     rt::RuntimeOptions o = comm_opts(comm::Mode::Plan);
     o.faults.enabled = true;
     rt::Runtime rt(sim::Machine::gpus(2, pp), o);
-    EXPECT_FALSE(rt.comm_enabled());
+    EXPECT_TRUE(rt.comm_enabled());
   }
   {
+    // The one remaining force-off: plans assume disjoint allocation extents.
     rt::RuntimeOptions o = comm_opts(comm::Mode::Plan);
     o.coalescing = false;
     rt::Runtime rt(sim::Machine::gpus(2, pp), o);

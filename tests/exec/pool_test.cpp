@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <thread>
 #include <vector>
+
+#include "metrics/metrics.h"
 
 namespace legate::exec {
 namespace {
@@ -111,6 +115,63 @@ TEST(Pool, ManyIndependentNodesAllComplete) {
   for (int i = 0; i < 500; ++i) nodes.push_back(pool.submit([&] { done.fetch_add(1); }, {}));
   for (auto& n : nodes) pool.wait(n);
   EXPECT_EQ(done.load(), 500);
+}
+
+/// Pool tasks whose observed (own) wall exceeded 10 ms.
+double tasks_over_10ms(const metrics::Registry& reg) {
+  const auto snap = reg.snapshot();
+  const auto* h = snap.find("lsr_exec_task_wall_seconds");
+  EXPECT_NE(h, nullptr);
+  if (h == nullptr) return -1;
+  double n = 0;
+  for (std::size_t k = 1; k < h->buckets.size(); ++k) {
+    if (h->bounds[k - 1] > 5e-3) n += h->buckets[k];  // lower bound 1e-2 up
+  }
+  return n;
+}
+
+TEST(Pool, TaskWallExcludesNestedTasksAndIdleWaits) {
+  using namespace std::chrono_literals;
+  {
+    // Nested: `outer` waits on `inner`, so it runs inner itself (one
+    // worker), or idles while the waiting caller runs it. Only inner's own
+    // 50 ms is its work; the outer task's wall must not count it again.
+    metrics::Registry reg;
+    Pool pool(1, &reg);
+    auto outer = pool.submit(
+        [&] {
+          auto inner = pool.submit([] { std::this_thread::sleep_for(50ms); }, {});
+          pool.wait(inner);
+        },
+        {});
+    pool.wait(outer);
+    pool.wait_all();
+    EXPECT_EQ(tasks_over_10ms(reg), 1);
+  }
+  {
+    // Idle: a task's parallel_for initiator finishes its own iteration at
+    // once, then waits ~50 ms for the other worker's iteration.
+    metrics::Registry reg;
+    Pool pool(2, &reg);
+    std::atomic<bool> helper_started{false};
+    std::thread::id initiator;
+    auto n = pool.submit(
+        [&] {
+          initiator = std::this_thread::get_id();
+          pool.parallel_for(2, [&](long) {
+            if (std::this_thread::get_id() == initiator) {
+              while (!helper_started.load()) std::this_thread::yield();
+              return;
+            }
+            helper_started.store(true);
+            std::this_thread::sleep_for(50ms);
+          });
+        },
+        {});
+    pool.wait(n);
+    pool.wait_all();
+    EXPECT_EQ(tasks_over_10ms(reg), 1);
+  }
 }
 
 }  // namespace
