@@ -42,6 +42,7 @@ LegateRun run_legate_once(sim::ProcKind kind, int procs, const std::string& poin
   opts.exec_threads = threads;
   opts.partition = lsr_bench::bench_partition();
   opts.fusion = lsr_bench::bench_fusion();
+  opts.comm = lsr_bench::bench_comm();
   rt::Runtime runtime(machine, opts);
   runtime.engine().set_cost_scale(kScale);
   apps::HostProblem prob = problem_for(procs);

@@ -48,7 +48,8 @@ if [ -n "${LSR_COMM:-}" ]; then
 fi
 
 run_default() {
-  cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo
+  # Warnings are errors here: a clean build emits none, and this keeps it so.
+  cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_CXX_FLAGS=-Werror
   cmake --build build -j
   ctest --test-dir build --output-on-failure -j
 }

@@ -20,7 +20,7 @@ void MpiSim::compute(int rank, double bytes, double flops, double efficiency) {
   if (machine_.target() == sim::ProcKind::GPU) t += pp_.gpu_kernel_launch;
   double& clk = clock_[static_cast<std::size_t>(rank)];
   clk = engine_->busy_proc(rank, clk, t);
-  engine_->note_task();
+  engine_->emit(sim::Ev::Task);
 }
 
 void MpiSim::exchange(const std::map<std::pair<int, int>, double>& bytes) {

@@ -76,11 +76,7 @@ std::uint64_t slot_of(std::uint64_t key, std::uint64_t sig) {
 
 const ExchangePlan* PlanCache::lookup(std::uint64_t key, std::uint64_t sig) {
   auto it = plans_.find(slot_of(key, sig));
-  if (it == plans_.end() || it->second.signature != sig) {
-    ++stats_.misses;
-    return nullptr;
-  }
-  ++stats_.hits;
+  if (it == plans_.end() || it->second.signature != sig) return nullptr;
   return &it->second;
 }
 
@@ -102,7 +98,6 @@ long PlanCache::invalidate_store(StoreId id) {
   long n = 0;
   for (std::uint64_t k : it->second) n += static_cast<long>(plans_.erase(k));
   by_store_.erase(it);
-  stats_.invalidations += n;
   return n;
 }
 

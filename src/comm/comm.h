@@ -115,6 +115,14 @@ struct ExchangePlan {
   void coalesce(int colors, const std::vector<int>& mem_node);
 };
 
+/// Exchange-plan cache activity as the runtime counts it
+/// (Runtime::comm_plan_stats reads the lsr_comm_plan_* counters).
+struct PlanStats {
+  long hits{0};
+  long misses{0};
+  long invalidations{0};
+};
+
 /// Keyed plan cache with a per-store invalidation index. Entries live under
 /// the combined (structural key, valid-set signature) hash, so one launch
 /// structure may cache several plans for distinct store states — launches
@@ -123,33 +131,23 @@ struct ExchangePlan {
 /// must not thrash a single slot.
 class PlanCache {
  public:
-  struct Stats {
-    long hits{0};
-    long misses{0};
-    long invalidations{0};
-  };
-
-  /// Returns the cached plan iff (`key`, `sig`) is present; bumps hit/miss
-  /// stats.
+  /// Returns the cached plan iff (`key`, `sig`) is present, else nullptr.
   const ExchangePlan* lookup(std::uint64_t key, std::uint64_t sig);
   /// Insert the plan (whose `signature` must be set) under `key`; returns
   /// the stored plan. When the cache is full the whole map is dropped first
   /// (plans are cheap to re-derive; eviction order must not depend on hash
   /// iteration order).
   const ExchangePlan* insert(std::uint64_t key, ExchangePlan plan);
-  /// Drop every plan touching `id`; returns the number dropped (also added
-  /// to stats().invalidations).
+  /// Drop every plan touching `id`; returns the number dropped.
   long invalidate_store(StoreId id);
   void clear();
 
-  [[nodiscard]] const Stats& stats() const { return stats_; }
   [[nodiscard]] std::size_t size() const { return plans_.size(); }
 
  private:
   static constexpr std::size_t kMaxPlans = 512;
   std::unordered_map<std::uint64_t, ExchangePlan> plans_;
   std::map<StoreId, std::set<std::uint64_t>> by_store_;
-  Stats stats_;
 };
 
 }  // namespace legate::comm

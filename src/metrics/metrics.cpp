@@ -107,6 +107,10 @@ void Counter::inc(double v) const {
   reg_->add(def_->first_slot, v);
 }
 
+double Counter::value() const {
+  return reg_ == nullptr ? 0.0 : reg_->merged(def_->first_slot);
+}
+
 void Gauge::set(double v) const {
   if (reg_ == nullptr) return;
   reg_->gauge_store(def_->first_slot, v);

@@ -66,6 +66,9 @@ class Counter {
  public:
   Counter() = default;
   void inc(double v = 1.0) const;
+  /// Current merged value (0 for an inert handle). Same fixed-order shard
+  /// merge as snapshot(), so a Stable counter reads its exact sequential sum.
+  [[nodiscard]] double value() const;
 
  private:
   friend class Registry;

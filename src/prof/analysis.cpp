@@ -20,14 +20,15 @@ std::vector<Utilization> utilization(const Recorder& rec, double makespan) {
 CriticalPath critical_path(const Recorder& rec) {
   CriticalPath cp;
   const auto& evs = rec.events();
-  if (evs.empty()) return cp;
 
-  // Anchor: the event that finishes last (its completion is the makespan as
-  // seen by the recorder). Instant markers have start == end and never win.
-  std::size_t tail = 0;
-  for (std::size_t i = 1; i < evs.size(); ++i) {
-    if (evs[i].end > evs[tail].end) tail = i;
+  // Anchor: the non-marker event that finishes last (its completion is the
+  // makespan as seen by the recorder). Markers are annotations: no event
+  // has one as its predecessor, so none can be on the chain either.
+  const Event* tail = nullptr;
+  for (const Event& ev : evs) {
+    if (!is_marker(ev.cat) && (tail == nullptr || ev.end > tail->end)) tail = &ev;
   }
+  if (tail == nullptr) return cp;
 
   // Walk predecessor edges back to a source. Ids are assigned in record
   // order and pred < id always holds, so the walk terminates. The chain is
@@ -35,9 +36,9 @@ CriticalPath critical_path(const Recorder& rec) {
   // the control lane's issue stream runs ahead of execution on a separate
   // virtual clock, so a global minimum over event starts is meaningless.
   std::vector<std::uint64_t> rev;
-  std::int64_t cur = static_cast<std::int64_t>(tail);
-  double covered_until = evs[tail].end;
-  double source_start = evs[tail].start;
+  std::int64_t cur = static_cast<std::int64_t>(tail->id);
+  double covered_until = tail->end;
+  double source_start = tail->start;
   while (cur >= 0) {
     const Event& ev = evs[static_cast<std::size_t>(cur)];
     // Only count the portion of the event not already attributed to a later
@@ -57,7 +58,7 @@ CriticalPath critical_path(const Recorder& rec) {
     }
     cur = ev.pred;
   }
-  cp.total_seconds = evs[tail].end - source_start;
+  cp.total_seconds = tail->end - source_start;
   cp.chain.assign(rev.rbegin(), rev.rend());
   return cp;
 }

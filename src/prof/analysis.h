@@ -20,7 +20,8 @@ struct Utilization {
 [[nodiscard]] std::vector<Utilization> utilization(const Recorder& rec,
                                                    double makespan);
 
-/// Longest dependency chain ending at the latest-finishing event, with time
+/// Longest dependency chain ending at the latest-finishing non-marker event
+/// (markers never gate, so none is on the chain), with time
 /// attributed per category. `wait_seconds` is chain time not covered by any
 /// recorded event (an event starting after its predecessor finished —
 /// dependence fan-in the single pred edge cannot see, or untraced gaps).

@@ -4,25 +4,6 @@
 
 namespace legate::prof {
 
-const char* category_name(Category c) {
-  switch (c) {
-    case Category::Kernel: return "kernel";
-    case Category::Copy: return "copy";
-    case Category::Allreduce: return "allreduce";
-    case Category::Launch: return "launch-overhead";
-    case Category::Stall: return "stall";
-    case Category::Checkpoint: return "checkpoint";
-    case Category::Fault: return "fault";
-    case Category::Retry: return "retry";
-    case Category::Spill: return "spill";
-    case Category::Snapshot: return "metrics-snapshot";
-    case Category::Integrity: return "integrity";
-    case Category::Fused: return "fused";
-    case Category::Comm: return "comm";
-  }
-  return "unknown";
-}
-
 int Recorder::track(const std::string& name, int node) {
   auto it = track_ids_.find(name);
   if (it != track_ids_.end()) return it->second;
@@ -46,6 +27,10 @@ std::uint64_t Recorder::record(Category cat, int track, double start, double end
   ev.end = end;
   ev.track = track;
   ev.name = std::move(name);
+  if (is_marker(cat)) {
+    events_.push_back(std::move(ev));
+    return events_.back().id;
+  }
 
   // Resolve the gating edge. When the dependence gate (`ready`) is what set
   // the start time, chase the producer through the completion index — this

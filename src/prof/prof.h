@@ -3,6 +3,7 @@
 #include <chrono>
 #include <cstdint>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <string>
 #include <string_view>
@@ -14,7 +15,7 @@ namespace legate::prof {
 
 /// What a timeline event represents; maps 1:1 onto the critical-path
 /// attribution buckets (kernel / copy / launch-overhead / allreduce / stall)
-/// plus the resilience markers.
+/// plus the instant markers (see CategoryInfo::marker).
 enum class Category {
   Kernel,     ///< a point-task execution on a processor
   Copy,       ///< data movement between (or within) memories
@@ -22,16 +23,42 @@ enum class Category {
   Launch,     ///< control-lane time (op dispatch, dependence analysis)
   Stall,      ///< whole-machine outage (node-loss detection/admission)
   Checkpoint, ///< checkpoint write / restore read on the PFS channel
-  Fault,      ///< instant marker: a fault was injected
-  Retry,      ///< instant marker: a point task re-execution was scheduled
-  Spill,      ///< instant marker: an allocation was evicted under OOM
-  Snapshot,   ///< instant marker: a metrics snapshot was taken
-  Integrity,  ///< instant marker: a silent flip was injected/detected/repaired
-  Fused,      ///< instant marker: a launch window was rewritten into a fused launch
-  Comm,       ///< instant marker: a cached exchange plan was applied
+  Fault,      ///< marker: a fault was injected (transient or node loss)
+  Retry,      ///< marker: a point task re-execution was scheduled
+  Spill,      ///< marker: an allocation was evicted under OOM
+  Snapshot,   ///< marker: a metrics snapshot was taken
+  Integrity,  ///< marker: a silent flip was injected/detected/repaired
+  Fused,      ///< marker: a launch window was rewritten into a fused launch
+  Comm,       ///< marker: an exchange plan (or shuffle) was applied
 };
 
-[[nodiscard]] const char* category_name(Category c);
+/// Per-category facts, indexed by Category. A marker is an annotation: it
+/// keeps its id and its place in Recorder::events(), but it never gates
+/// another event (Recorder::record leaves it out of the track clocks and the
+/// completion index), never anchors the critical path, and exports as a
+/// Chrome-trace instant ("ph":"i").
+struct CategoryInfo {
+  const char* name;
+  bool marker;
+};
+inline constexpr CategoryInfo kCategoryInfo[] = {
+    {"kernel", false},           {"copy", false},
+    {"allreduce", false},        {"launch-overhead", false},
+    {"stall", false},            {"checkpoint", false},
+    {"fault", true},             {"retry", true},
+    {"spill", true},             {"metrics-snapshot", true},
+    {"integrity", true},         {"fused", true},
+    {"comm", true},
+};
+static_assert(std::size(kCategoryInfo) ==
+              static_cast<std::size_t>(Category::Comm) + 1);
+
+[[nodiscard]] constexpr const char* category_name(Category c) {
+  return kCategoryInfo[static_cast<std::size_t>(c)].name;
+}
+[[nodiscard]] constexpr bool is_marker(Category c) {
+  return kCategoryInfo[static_cast<std::size_t>(c)].marker;
+}
 
 /// One interval on the recorded timeline. Times are simulated seconds.
 struct Event {
@@ -92,7 +119,8 @@ class Recorder {
   /// resource-serialized, e.g. control-lane advances). The predecessor edge
   /// is resolved here: if the start was set by data readiness, the producer
   /// is looked up by its completion time; otherwise the previous event on
-  /// the same track gates it.
+  /// the same track gates it. A marker category is appended with no edge
+  /// and leaves every index untouched, so it never becomes a predecessor.
   std::uint64_t record(Category cat, int track, double start, double end,
                        double ready, std::string name);
 

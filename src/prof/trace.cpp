@@ -90,9 +90,7 @@ std::string chrome_trace_json(const Recorder& rec) {
   for (const Event* evp : ordered) {
     const Event& ev = *evp;
     const Track& tr = rec.tracks()[static_cast<std::size_t>(ev.track)];
-    bool instant = ev.cat == Category::Fault || ev.cat == Category::Retry ||
-                   ev.cat == Category::Spill || ev.cat == Category::Snapshot ||
-                   ev.cat == Category::Fused;
+    const bool instant = is_marker(ev.cat);
     sep();
     os << '{';
     append_str(os, "name", ev.name.empty() ? category_name(ev.cat) : ev.name);

@@ -572,7 +572,6 @@ std::uint64_t Runtime::image_identity(StoreId src, std::uint64_t src_part,
   met_.image_misses.inc();
   // Dependent partitioning runs on the runtime's control path.
   engine_->control_advance(5e-6, "dependent-partitioning");
-  ++partitions_created_;
   met_.partitions_created.inc();
   it->second = Partition::next_uid();
   return it->second;
@@ -814,13 +813,13 @@ bool Runtime::evict_lru(int mem, StoreId requesting) {
     }
   }
   engine_->free_bytes(mem, static_cast<double>(victim.extent.size()) * victim.esize);
-  engine_->note_spill();
+  engine_->emit(sim::Ev::Spill);
   spilling_ = false;
   return true;
 }
 
 void Runtime::handle_node_loss(int node) {
-  engine_->note_fault();
+  engine_->emit(sim::Ev::NodeLoss, {}, node);
   // Hot-spare model: a replacement node with the same shape is admitted, so
   // partitioning — and therefore every bit of the canonical computation —
   // is unchanged. Only the data resident on the lost node is gone.
@@ -854,7 +853,6 @@ void Runtime::handle_node_loss(int node) {
   node_loss_pending_ = true;
   auto& fr = engine_->flight();
   if (fr.enabled()) {
-    fr.record(diag::EventKind::NodeLoss, "node-loss", node);
     fr.note_node_loss(node);
     fr.dump("node-loss");
   }
@@ -923,7 +921,7 @@ void Runtime::apply_flip(StoreId id, std::uint64_t offset, int bit,
   if (impl == nullptr || offset >= impl->data->size()) return;
   auto& byte = impl->data->data()[static_cast<std::size_t>(offset)];
   byte ^= static_cast<std::byte>(1U << static_cast<unsigned>(bit));
-  engine_->note_flip_injected();
+  engine_->emit(sim::Ev::FlipInjected);
   if (opts_.integrity != Integrity::Off) {
     outstanding_flips_[id].push_back({offset, now});
   }
@@ -943,18 +941,18 @@ void Runtime::integrity_verify(StoreId id, std::byte* data,
     bool counted = false;
     for (auto it = live.begin(); it != live.end();) {
       if (it->offset >= b.lo && it->offset < b.hi) {
-        engine_->note_flip_detected(now - it->time);
+        engine_->emit(sim::Ev::FlipDetected, {}, 0, 0, now - it->time);
         counted = true;
         it = live.erase(it);
       } else {
         ++it;
       }
     }
-    if (!counted) engine_->note_flip_detected(0.0);
+    if (!counted) engine_->emit(sim::Ev::FlipDetected);
     bool fixed = false;
     if (opts_.integrity == Integrity::Recover) {
       fixed = ledger_.try_correct(id, data, nbytes, b);
-      if (fixed) engine_->note_flip_recovered();
+      if (fixed) engine_->emit(sim::Ev::FlipRecovered);
     }
     if (!fixed) {
       // Uncorrectable (or Detect policy): the bytes are untrusted. Poison
@@ -1014,7 +1012,7 @@ void Runtime::integrity_after_leaves(detail::LaunchRecord& R) {
         const int bit = injector_->output_flip_bit(oseq);
         auto* words = reinterpret_cast<std::uint64_t*>(raw.data());
         words[idx] ^= 1ULL << static_cast<unsigned>(bit);
-        engine_->note_flip_injected();
+        engine_->emit(sim::Ev::FlipInjected);
       }
     }
     integrity_record(a.view.id, raw.data(), raw.size(), 0, raw.size());
@@ -1180,13 +1178,9 @@ double Runtime::shuffle(const Store& in, const Store& out,
                                 : met_.comm_bytes_ib)
           .inc(scaled);
     }
-    engine_->note_comm();
-    auto& sfr = engine_->flight();
-    if (sfr.enabled()) {
-      sfr.record(diag::EventKind::Comm, "shuffle",
-                 static_cast<std::int64_t>(groups.size()), 0,
-                 bytes_total * engine_->cost_scale());
-    }
+    engine_->emit(sim::Ev::Comm, "shuffle",
+                  static_cast<std::int64_t>(groups.size()), 0,
+                  bytes_total * engine_->cost_scale());
   }
 
   // Each destination runs a local repack kernel and then owns its block.
@@ -1289,7 +1283,6 @@ detail::LaunchBoard Runtime::begin_launch(LaunchRecord& R, bool deferred) {
     }
   }
   met_.launches.inc();
-  ++launches_applied_;  // plain mirror for the fenced accessor
   // Flight recorder: publish the launch on the board before any simulated
   // work, so a hang anywhere below names this launch as the suspect. The
   // board is cleared even on the exception paths (OOM, surfaced leaf
@@ -1310,7 +1303,6 @@ std::vector<std::uint64_t> Runtime::account_partitions(const LaunchRecord& R) {
   std::vector<std::uint64_t> ident(static_cast<std::size_t>(nargs), 0);
   std::vector<std::uint64_t> key_of(static_cast<std::size_t>(nargs), 0);
   auto fresh = [this] {
-    ++partitions_created_;
     met_.partitions_created.inc();
     return Partition::next_uid();
   };
@@ -1536,7 +1528,7 @@ std::pair<double, bool> Runtime::charge_point(const detail::PointKernel& k,
   double duration = engine_->cost_model().kernel_seconds(
       proc.kind, cost, proc.kind == sim::ProcKind::CPU ? cpu_fraction_ : 1.0);
   if (proc.kind == sim::ProcKind::GPU) duration += pp.gpu_kernel_launch;
-  engine_->note_task();
+  engine_->emit(sim::Ev::Task);
   // Transient-fault model. The leaf ran exactly once, so canonical data is
   // always the fault-free bits; failures cost only time and metadata. Each
   // failed attempt occupies the processor for part of the duration from the
@@ -1551,7 +1543,7 @@ std::pair<double, bool> Runtime::charge_point(const detail::PointKernel& k,
     if (injector_ != nullptr) {
       const auto& fc = injector_->config();
       while (injector_->should_fail(seq, attempt)) {
-        engine_->note_fault();
+        engine_->emit(sim::Ev::Fault);
         const double wasted = duration * injector_->fail_fraction(seq, attempt);
         const double detected =
             engine_->busy_proc(k.proc, start, wasted, label) + fc.detect_seconds;
@@ -1559,7 +1551,7 @@ std::pair<double, bool> Runtime::charge_point(const detail::PointKernel& k,
           engine_->bump_to(detected);
           return {detected, true};
         }
-        engine_->note_retry();
+        engine_->emit(sim::Ev::Retry);
         start = detected + fc.backoff_seconds * std::pow(2.0, attempt - 1);
       }
     }

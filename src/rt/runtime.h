@@ -389,22 +389,14 @@ class Runtime {
   [[nodiscard]] Fusion fusion_mode() const { return fusion_mode_; }
   /// Launches currently buffered in the open fusion window (test hook).
   [[nodiscard]] std::size_t fuse_window_size() const { return fuse_window_.size(); }
-  /// Task launches actually applied (after fusion), mirroring the
+  /// Task launches actually applied (after fusion): the
   /// lsr_rt_launches_total counter. A fence point.
-  [[nodiscard]] long launches_applied() {
-    fence();
-    return launches_applied_;
-  }
+  [[nodiscard]] long launches_applied() { return fenced(met_.launches); }
   /// Original launches folded into fused launches / launches eliminated by
-  /// fusion so far. Fence points.
-  [[nodiscard]] long fused_participants() {
-    fence();
-    return fuse_participants_;
-  }
-  [[nodiscard]] long fused_eliminated() {
-    fence();
-    return fuse_eliminated_launches_;
-  }
+  /// fusion so far: the lsr_fuse_launches_{fused,eliminated}_total counters.
+  /// Fence points.
+  [[nodiscard]] long fused_participants() { return fenced(met_.fuse_fused); }
+  [[nodiscard]] long fused_eliminated() { return fenced(met_.fuse_eliminated); }
 
   // -- communication planner (src/comm) --------------------------------------
   /// Whether the comm planner is active (mode plan/overlap and allocation
@@ -412,11 +404,11 @@ class Runtime {
   [[nodiscard]] bool comm_enabled() const { return comm_on_; }
   /// Resolved comm mode (never Unset).
   [[nodiscard]] comm::Mode comm_mode() const { return comm_mode_; }
-  /// Exchange-plan cache statistics (hits/misses/invalidations), mirroring
-  /// the lsr_comm_plan_* counters. A fence point.
-  [[nodiscard]] comm::PlanCache::Stats comm_plan_stats() {
-    fence();
-    return comm_cache_.stats();
+  /// Exchange-plan cache hits/misses/invalidations: the lsr_comm_plan_*
+  /// counters. A fence point.
+  [[nodiscard]] comm::PlanStats comm_plan_stats() {
+    return {fenced(met_.comm_plan_hits), fenced(met_.comm_plan_misses),
+            fenced(met_.comm_plan_invalidations)};
   }
 
   // -- profiling -------------------------------------------------------------
@@ -449,11 +441,9 @@ class Runtime {
   /// not its identity.
   [[nodiscard]] PartitionRef key_partition(const Store& s);
 
-  /// Number of partitions materialized so far (ablation metric).
-  [[nodiscard]] long partitions_created() {
-    fence();
-    return partitions_created_;
-  }
+  /// Number of partitions materialized so far (ablation metric): the
+  /// lsr_rt_partitions_created_total counter. A fence point.
+  [[nodiscard]] long partitions_created() { return fenced(met_.partitions_created); }
 
   // -- fault tolerance ------------------------------------------------------
   /// Whether `s` holds data the modeled machine lost (retry exhaustion or a
@@ -711,7 +701,6 @@ class Runtime {
   /// Replay image accounting: (source, source identity, kind, SyncState
   /// epoch) -> identity of the image partition. Identities only, no content.
   std::map<ImageKey, std::uint64_t> image_cache_;
-  long partitions_created_{0};
 
   // -- execution backend state ----------------------------------------------
   std::unique_ptr<exec::Pool> pool_;  ///< null when exec_threads == 1
@@ -747,9 +736,6 @@ class Runtime {
   /// Stores destroyed while a window was open: their release accounting is
   /// deferred until the window (which may still read their views) flushes.
   std::vector<std::pair<StoreId, double>> fuse_pending_release_;
-  long launches_applied_{0};         ///< mirrors met_.launches (fenced accessor)
-  long fuse_participants_{0};        ///< original launches folded into fused ones
-  long fuse_eliminated_launches_{0}; ///< participants minus fused launches
 
   // -- comm-planner state (src/rt/runtime_comm.cpp) --------------------------
   comm::Mode comm_mode_{comm::Mode::Off};
@@ -779,6 +765,12 @@ class Runtime {
   double last_flip_poll_{0};  ///< simulated time of the previous flip poll
   long output_seq_{0};  ///< written-arg counter keying in-flight flip draws
   std::vector<std::string> provenance_;  ///< profiler provenance scope stack
+
+  /// Fence, then read a counter: the fenced count accessors above.
+  long fenced(const metrics::Counter& c) {
+    fence();
+    return static_cast<long>(c.value());
+  }
 
   /// Runtime-layer metric handles (registered once in the constructor). All
   /// Stable handles are bumped exclusively on the control thread during the

@@ -62,13 +62,9 @@ detail::Mapped Runtime::comm_pass_b(const LaunchRecord& R,
     if (R.all_empty[cc] != 0) continue;
     charge_color(R, c, m, gate[cc], local_ready[cc], plan->ghost_bytes_by_color[cc]);
   }
-  engine_->note_comm();
-  auto& fr = engine_->flight();
-  if (fr.enabled()) {
-    fr.record(diag::EventKind::Comm, R.name,
-              static_cast<std::int64_t>(plan->transfers.size()), hit ? 1 : 0,
-              plan->total_bytes * engine_->cost_scale());
-  }
+  engine_->emit(sim::Ev::Comm, R.name,
+                static_cast<std::int64_t>(plan->transfers.size()), hit ? 1 : 0,
+                plan->total_bytes * engine_->cost_scale());
   return m;
 }
 

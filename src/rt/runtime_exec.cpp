@@ -56,7 +56,7 @@ void Runtime::fence() {
 
 metrics::Snapshot Runtime::metrics_snapshot() {
   fence();  // observe a consistent stable set (all replays applied)
-  engine_->note_snapshot();
+  engine_->emit(sim::Ev::Snapshot);
   return engine_->metrics().snapshot();
 }
 

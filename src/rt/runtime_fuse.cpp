@@ -138,14 +138,8 @@ void Runtime::flush_fuse_window() {
       auto F = make_fused_record(window);
       met_.fuse_fused.inc(static_cast<double>(k));
       met_.fuse_eliminated.inc(static_cast<double>(k - 1));
-      if (auto& fr = engine_->flight(); fr.enabled()) {
-        fr.record(diag::EventKind::FuseDecision, "fused",
-                  static_cast<std::int64_t>(k),
-                  static_cast<std::int64_t>(k - 1));
-      }
-      fuse_participants_ += static_cast<long>(k);
-      fuse_eliminated_launches_ += static_cast<long>(k - 1);
-      engine_->note_fused();
+      engine_->emit(sim::Ev::Fused, {}, static_cast<std::int64_t>(k),
+                    static_cast<std::int64_t>(k - 1));
       issue_record(F);
       // The terminal link owns the window's scalar future (if any).
       window.back()->result = F->result;

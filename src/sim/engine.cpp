@@ -2,6 +2,8 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <iterator>
+#include <optional>
 #include <sstream>
 
 namespace legate::sim {
@@ -112,9 +114,55 @@ int Engine::control_track() { return recorder_.track("control", 0); }
 int Engine::io_track() { return recorder_.track("pfs", 0); }
 int Engine::collective_track() { return recorder_.track("collective", 0); }
 
-void Engine::mark(prof::Category cat) {
-  recorder_.record(cat, control_track(), makespan_, makespan_, -1.0,
-                   prof::category_name(cat));
+void Engine::emit(Ev kind, std::string_view label, std::int64_t a,
+                  std::int64_t b, double v) {
+  // One row per Ev, in declaration order. `a` is added to the caller's
+  // payload (the integrity verdict code: 0 injected / 1 detected / 2
+  // recovered).
+  struct Sink {
+    metrics::Counter Met::*count;
+    std::optional<prof::Category> marker;
+    std::optional<diag::EventKind> diag;
+    const char* label;
+    std::int64_t a;
+  };
+  using prof::Category;
+  using K = diag::EventKind;
+  static constexpr Sink kSinks[] = {
+      {&Met::tasks, {}, {}, "", 0},                                     // Task
+      {&Met::faults, Category::Fault, K::Fault, "fault", 0},            // Fault
+      {&Met::faults, Category::Fault, K::NodeLoss, "node-loss", 0},     // NodeLoss
+      {&Met::retries, Category::Retry, K::Retry, "retry", 0},           // Retry
+      {&Met::spills, Category::Spill, K::Spill, "spill", 0},            // Spill
+      {nullptr, Category::Snapshot, {}, "", 0},                         // Snapshot
+      {&Met::flips_injected, Category::Integrity, K::Integrity,
+       "flip-injected", 0},                                             // FlipInjected
+      {&Met::flips_detected, Category::Integrity, K::Integrity,
+       "flip-detected", 1},                                             // FlipDetected
+      {&Met::flips_recovered, Category::Integrity, K::Integrity,
+       "flip-recovered", 2},                                            // FlipRecovered
+      {nullptr, Category::Fused, K::FuseDecision, "fused", 0},          // Fused
+      {nullptr, Category::Comm, K::Comm, "comm", 0},                    // Comm
+  };
+  static_assert(std::size(kSinks) == static_cast<std::size_t>(Ev::Comm) + 1);
+  static_assert([] {
+    for (const Sink& s : kSinks) {
+      if (s.marker && !prof::is_marker(*s.marker)) return false;
+    }
+    return true;
+  }(), "an event's timeline category must be a marker");
+
+  const Sink& s = kSinks[static_cast<std::size_t>(kind)];
+  if (s.count != nullptr) (met_.*s.count).inc();
+  if (kind == Ev::FlipDetected) met_.flip_latency.observe(v);
+  if (s.marker && recorder_.enabled()) {
+    // An annotation at the current makespan on the control row.
+    recorder_.record(*s.marker, control_track(), makespan_, makespan_, -1.0,
+                     prof::category_name(*s.marker));
+  }
+  if (s.diag && diag_.enabled()) {
+    diag_.record(*s.diag, label.empty() ? s.label : label, s.a + a, b, v);
+  }
 }
 
 double Engine::control_advance(double overhead, std::string_view label) {
@@ -164,7 +212,6 @@ double Engine::copy(int src, int dst, double bytes, double ready) {
                          std::to_string(dst) + " out of range [0, " +
                          std::to_string(nmem) + ")",
                      "dst_mem", dst, nmem);
-  ++stats_.copies;
   met_.copies.inc();
   bytes *= cost_scale_;
   const auto& sm = machine_.memory(src);
@@ -181,7 +228,6 @@ double Engine::copy(int src, int dst, double bytes, double ready) {
     done = start + pp_.sysmem_lat + bytes / bw;
     busy = done - start;
     clk = done;
-    stats_.bytes_intra += bytes;
     met_.bytes_intra.inc(bytes);
     met_.copy_intra.observe(bytes);
     if (rec) track = recorder_.track("mem" + std::to_string(src), sm.node);
@@ -192,7 +238,6 @@ double Engine::copy(int src, int dst, double bytes, double ready) {
     done = start + pp_.nvlink_lat + bytes / pp_.nvlink_bw;
     busy = done - start;
     clk = done;
-    stats_.bytes_nvlink += bytes;
     met_.bytes_nvlink.inc(bytes);
     met_.copy_nvlink.observe(bytes);
     if (rec) {
@@ -214,7 +259,6 @@ double Engine::copy(int src, int dst, double bytes, double ready) {
     out = start + tx;
     in = std::max(in, ready) + tx;
     done = std::max(out, in) + pp_.ib_lat;
-    stats_.bytes_ib += bytes;
     met_.bytes_ib.inc(bytes);
     met_.copy_ib.observe(bytes);
     if (rec) {
@@ -245,7 +289,6 @@ double Engine::copy(int src, int dst, double bytes, double ready) {
 }
 
 double Engine::allreduce(int nprocs, double ready, bool legate_style) {
-  ++stats_.allreduces;
   met_.allreduces.inc();
   double t = ready;
   if (nprocs > 1) {
@@ -298,16 +341,10 @@ double Engine::allreduce_bytes(int nprocs, double bytes, double ready,
       const auto& a = machine_.proc(i % np);
       const auto& b = machine_.proc(((i + 1) % nprocs) % np);
       if (a.id == b.id) continue;  // degenerate ring position, no movement
-      if (a.mem == b.mem) {
-        stats_.bytes_intra += hop_bytes;
-        met_.bytes_intra.inc(hop_bytes);
-      } else if (a.node == b.node) {
-        stats_.bytes_nvlink += hop_bytes;
-        met_.bytes_nvlink.inc(hop_bytes);
-      } else {
-        stats_.bytes_ib += hop_bytes;
-        met_.bytes_ib.inc(hop_bytes);
-      }
+      (a.mem == b.mem     ? met_.bytes_intra
+       : a.node == b.node ? met_.bytes_nvlink
+                          : met_.bytes_ib)
+          .inc(hop_bytes);
       if (recorder_.enabled()) recorder_.add_traffic(a.node, b.node, hop_bytes);
     }
     if (recorder_.enabled()) {
@@ -374,14 +411,7 @@ double Engine::stall_all(double at, double seconds) {
 
 double Engine::checkpoint_io(double bytes, double ready, bool restore) {
   bytes *= cost_scale_;
-  if (restore) {
-    ++stats_.restores;
-    met_.restores.inc();
-  } else {
-    ++stats_.checkpoints;
-    met_.checkpoints.inc();
-  }
-  stats_.bytes_ckpt += bytes;
+  (restore ? met_.restores : met_.checkpoints).inc();
   met_.bytes_ckpt.inc(bytes);
   met_.ckpt_bytes.observe(bytes);
   double start = std::max(io_clock_, ready);
@@ -407,7 +437,6 @@ void Engine::reset() {
   nic_in_.assign(nic_in_.size(), 0.0);
   nic_out_.assign(nic_out_.size(), 0.0);
   pair_links_.clear();
-  stats_ = Stats{};
   makespan_ = 0;
   mem_peak_ = mem_used_;
   recorder_.reset();
@@ -418,26 +447,40 @@ void Engine::reset() {
   metrics_.reset();
 }
 
+Stats Engine::stats() const {
+  auto n = [](const metrics::Counter& c) { return static_cast<long>(c.value()); };
+  return {.bytes_intra = met_.bytes_intra.value(),
+          .bytes_nvlink = met_.bytes_nvlink.value(),
+          .bytes_ib = met_.bytes_ib.value(),
+          .bytes_ckpt = met_.bytes_ckpt.value(),
+          .copies = n(met_.copies), .tasks = n(met_.tasks),
+          .allreduces = n(met_.allreduces), .faults_injected = n(met_.faults),
+          .retries = n(met_.retries), .spills = n(met_.spills),
+          .checkpoints = n(met_.checkpoints), .restores = n(met_.restores),
+          .flips_injected = n(met_.flips_injected),
+          .flips_detected = n(met_.flips_detected),
+          .flips_recovered = n(met_.flips_recovered)};
+}
+
 std::string Engine::report() const {
+  const Stats st = stats();
   std::ostringstream os;
-  os << "makespan=" << makespan_ << "s tasks=" << stats_.tasks
-     << " copies=" << stats_.copies << " allreduces=" << stats_.allreduces
-     << " bytes{intra=" << stats_.bytes_intra / 1e6 << "MB, nvlink="
-     << stats_.bytes_nvlink / 1e6 << "MB, ib=" << stats_.bytes_ib / 1e6 << "MB}";
-  if (stats_.faults_injected + stats_.retries + stats_.spills +
-          stats_.checkpoints + stats_.restores >
+  os << "makespan=" << makespan_ << "s tasks=" << st.tasks
+     << " copies=" << st.copies << " allreduces=" << st.allreduces
+     << " bytes{intra=" << st.bytes_intra / 1e6 << "MB, nvlink="
+     << st.bytes_nvlink / 1e6 << "MB, ib=" << st.bytes_ib / 1e6 << "MB}";
+  if (st.faults_injected + st.retries + st.spills + st.checkpoints +
+          st.restores >
       0) {
-    os << " faults{injected=" << stats_.faults_injected
-       << ", retries=" << stats_.retries << ", spills=" << stats_.spills
-       << ", checkpoints=" << stats_.checkpoints
-       << ", restores=" << stats_.restores
-       << ", ckpt_bytes=" << stats_.bytes_ckpt / 1e6 << "MB}";
+    os << " faults{injected=" << st.faults_injected
+       << ", retries=" << st.retries << ", spills=" << st.spills
+       << ", checkpoints=" << st.checkpoints << ", restores=" << st.restores
+       << ", ckpt_bytes=" << st.bytes_ckpt / 1e6 << "MB}";
   }
-  if (stats_.flips_injected + stats_.flips_detected + stats_.flips_recovered >
-      0) {
-    os << " integrity{flips_injected=" << stats_.flips_injected
-       << ", detected=" << stats_.flips_detected
-       << ", recovered=" << stats_.flips_recovered << "}";
+  if (st.flips_injected + st.flips_detected + st.flips_recovered > 0) {
+    os << " integrity{flips_injected=" << st.flips_injected
+       << ", detected=" << st.flips_detected
+       << ", recovered=" << st.flips_recovered << "}";
   }
   return os.str();
 }

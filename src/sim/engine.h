@@ -1,6 +1,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <string>
 #include <string_view>
@@ -22,7 +23,9 @@ struct Cost {
   double efficiency{1};  ///< multiplier < 1 slows the kernel down
 };
 
-/// Traffic & activity counters, reported with every benchmark run.
+/// Traffic & activity counts, reported with every benchmark run. A view:
+/// Engine::stats() reads each field from its lsr_sim_* / lsr_integrity_*
+/// registry counter, the only place the count lives.
 struct Stats {
   double bytes_intra{0};   ///< intra-memory copies (allocation resizing)
   double bytes_nvlink{0};  ///< intra-node inter-memory traffic
@@ -41,6 +44,25 @@ struct Stats {
   long flips_injected{0};   ///< silent bit flips applied to store bytes
   long flips_detected{0};   ///< flips caught by checksum verification
   long flips_recovered{0};  ///< flips repaired bit-exactly in place
+};
+
+/// Discrete engine and runtime events, reported through Engine::emit. One
+/// table in Engine::emit wires each kind to its sinks: the registry counter
+/// that holds its count (if any), its prof marker category (if any) and its
+/// flight-recorder event kind (if any).
+enum class Ev : std::uint8_t {
+  Task,           ///< a point task was charged (count only)
+  Fault,          ///< a transient point-task fault was injected
+  NodeLoss,       ///< a whole node was lost (a = node); counts as a fault
+  Retry,          ///< a point-task re-execution was scheduled
+  Spill,          ///< an allocation was spilled under OOM pressure
+  Snapshot,       ///< a metrics snapshot was taken (marker only)
+  FlipInjected,   ///< a silent bit flip was applied
+  FlipDetected,   ///< a flip was caught (v = injection-to-detection seconds)
+  FlipRecovered,  ///< a flip was repaired bit-exactly
+  Fused,          ///< a window became one fused launch (a = k, b = k - 1)
+  Comm,           ///< an exchange plan or shuffle was applied
+                  ///< (a = transfers, b = 1 plan hit / 0 miss, v = bytes)
 };
 
 /// Turns a roofline Cost into seconds on a given processor kind.
@@ -137,64 +159,13 @@ class Engine {
   /// occupy no resource clock).
   void bump_to(double t) { bump(t); }
 
-  void note_task() {
-    ++stats_.tasks;
-    met_.tasks.inc();
-  }
-  void note_fault() {
-    ++stats_.faults_injected;
-    met_.faults.inc();
-    if (recorder_.enabled()) mark(prof::Category::Fault);
-    diag_.record(diag::EventKind::Fault, "fault");
-  }
-  void note_retry() {
-    ++stats_.retries;
-    met_.retries.inc();
-    if (recorder_.enabled()) mark(prof::Category::Retry);
-    diag_.record(diag::EventKind::Retry, "retry");
-  }
-  void note_spill() {
-    ++stats_.spills;
-    met_.spills.inc();
-    if (recorder_.enabled()) mark(prof::Category::Spill);
-    diag_.record(diag::EventKind::Spill, "spill");
-  }
-  /// Instant timeline marker for a metrics snapshot (Runtime::metrics_snapshot
-  /// calls this so snapshots show up on recorded traces).
-  void note_snapshot() {
-    if (recorder_.enabled()) mark(prof::Category::Snapshot);
-  }
-  void note_flip_injected() {
-    ++stats_.flips_injected;
-    met_.flips_injected.inc();
-    if (recorder_.enabled()) mark(prof::Category::Integrity);
-    diag_.record(diag::EventKind::Integrity, "flip-injected", 0);
-  }
-  /// Instant timeline marker: the runtime rewrote a launch window into one
-  /// fused launch (src/fuse).
-  void note_fused() {
-    if (recorder_.enabled()) mark(prof::Category::Fused);
-  }
-  /// Instant timeline marker: the runtime applied a (cached) exchange plan
-  /// in place of per-piece staleness copies (src/comm).
-  void note_comm() {
-    if (recorder_.enabled()) mark(prof::Category::Comm);
-  }
-  /// `latency` is simulated seconds between injection and detection (0 when
-  /// the flip is caught at the very poll that injected it).
-  void note_flip_detected(double latency) {
-    ++stats_.flips_detected;
-    met_.flips_detected.inc();
-    met_.flip_latency.observe(latency);
-    if (recorder_.enabled()) mark(prof::Category::Integrity);
-    diag_.record(diag::EventKind::Integrity, "flip-detected", 1, 0, latency);
-  }
-  void note_flip_recovered() {
-    ++stats_.flips_recovered;
-    met_.flips_recovered.inc();
-    if (recorder_.enabled()) mark(prof::Category::Integrity);
-    diag_.record(diag::EventKind::Integrity, "flip-recovered", 2);
-  }
+  /// Report one discrete event to every sink its kind is wired to. With
+  /// profiling and diag off this only bumps the kind's counter (and, for a
+  /// detected flip, the latency histogram): no string is built and nothing
+  /// is allocated. `label` names the flight-recorder event (default: the
+  /// kind's own label).
+  void emit(Ev kind, std::string_view label = {}, std::int64_t a = 0,
+            std::int64_t b = 0, double v = 0);
 
   /// Workload scale factor S: benchmarks execute a 1/S functional sample of
   /// the modeled problem and charge S x the bytes/flops/capacity, which is
@@ -204,7 +175,7 @@ class Engine {
   void set_cost_scale(double s) { cost_scale_ = s; }
   [[nodiscard]] double cost_scale() const { return cost_scale_; }
   [[nodiscard]] double makespan() const { return makespan_; }
-  [[nodiscard]] const Stats& stats() const { return stats_; }
+  [[nodiscard]] Stats stats() const;
   [[nodiscard]] const Machine& machine() const { return machine_; }
   [[nodiscard]] const CostModel& cost_model() const { return cost_model_; }
 
@@ -230,8 +201,8 @@ class Engine {
   [[nodiscard]] const diag::FlightRecorder& flight() const { return diag_; }
 
   /// Rewind the engine for reuse across benchmark repetitions: clears every
-  /// resource clock, the makespan, all Stats counters, and the recorded
-  /// timeline. Capacity accounting survives (allocations owned by a live
+  /// resource clock, the makespan, every metric (and so every Stats count),
+  /// and the recorded timeline. Capacity accounting survives (allocations owned by a live
   /// Runtime stay reserved); peaks restart from current usage.
   void reset();
 
@@ -245,8 +216,6 @@ class Engine {
   int control_track();
   int io_track();
   int collective_track();
-  /// Record an instant resilience marker at the current makespan.
-  void mark(prof::Category cat);
 
   const Machine& machine_;
   CostModel cost_model_;
@@ -260,7 +229,6 @@ class Engine {
   std::map<std::pair<int, int>, double> pair_links_;
 
   std::vector<double> mem_used_, mem_peak_;
-  Stats stats_;
   double makespan_{0};
   double cost_scale_{1.0};
   prof::Recorder recorder_;

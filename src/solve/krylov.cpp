@@ -59,10 +59,10 @@ DArray checked_spmv(const sparse::CsrMatrix& A, const DArray& x, bool& ok) {
     if (lhs.poisoned || rhs.poisoned || scale.poisoned) return y;
     if (std::fabs(lhs.value - rhs.value) <=
         kAbftRtol * (scale.value + std::fabs(rhs.value))) {
-      if (t > 0) rt.engine().note_flip_recovered();
+      if (t > 0) rt.engine().emit(sim::Ev::FlipRecovered);
       return y;
     }
-    rt.engine().note_flip_detected(0.0);
+    rt.engine().emit(sim::Ev::FlipDetected);
   }
   ok = false;
   return A.spmv(x);  // caller aborts or rolls back via ok

@@ -52,7 +52,7 @@ CsrMatrix from_problem(rt::Runtime& rt, const apps::HostProblem& p) {
 
 struct LoopRun {
   std::vector<double> x;
-  comm::PlanCache::Stats stats;
+  comm::PlanStats stats;
   double makespan{0};
 };
 
@@ -155,7 +155,8 @@ TEST(CommPlan, CacheKeepsDistinctSignaturesUnderOneKey) {
   cache.insert(key, p2);
 
   // A launch structure alternating between two store states must not thrash:
-  // both plans coexist.
+  // both plans coexist. (The cache keeps no counts; the runtime counts hits
+  // and misses from these lookup results.)
   const comm::ExchangePlan* h1 = cache.lookup(key, 1);
   const comm::ExchangePlan* h2 = cache.lookup(key, 2);
   ASSERT_NE(h1, nullptr);
@@ -164,8 +165,6 @@ TEST(CommPlan, CacheKeepsDistinctSignaturesUnderOneKey) {
   EXPECT_EQ(h2->total_bytes, 200);
   EXPECT_EQ(cache.lookup(key, 3), nullptr);
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().hits, 2);
-  EXPECT_EQ(cache.stats().misses, 2);
 }
 
 TEST(CommPlan, CacheInvalidateStoreDropsEveryReferencingPlan) {
@@ -184,9 +183,8 @@ TEST(CommPlan, CacheInvalidateStoreDropsEveryReferencingPlan) {
   cache.insert(0x3ULL, pc);
 
   EXPECT_EQ(cache.invalidate_store(42), 0);  // unknown id: no-op
-  EXPECT_EQ(cache.invalidate_store(7), 2);
+  EXPECT_EQ(cache.invalidate_store(7), 2);  // the runtime's invalidation count
   EXPECT_EQ(cache.size(), 1u);
-  EXPECT_EQ(cache.stats().invalidations, 2);
   EXPECT_EQ(cache.lookup(0x1ULL, 1), nullptr);
   EXPECT_EQ(cache.lookup(0x2ULL, 2), nullptr);
   EXPECT_NE(cache.lookup(0x3ULL, 3), nullptr);
@@ -279,13 +277,13 @@ TEST(CommRuntime, SpmvReachesSteadyStateHits) {
     DArray y = A.spmv(x);
     x.axpy(dense::Scalar{1e-9}, y);
   }
-  comm::PlanCache::Stats warm = rt.comm_plan_stats();
+  comm::PlanStats warm = rt.comm_plan_stats();
   const int extra = 5;
   for (int i = 0; i < extra; ++i) {
     DArray y = A.spmv(x);
     x.axpy(dense::Scalar{1e-9}, y);
   }
-  comm::PlanCache::Stats done = rt.comm_plan_stats();
+  comm::PlanStats done = rt.comm_plan_stats();
   // csr_spmv replays its cached gather plan every iteration past warmup.
   // (axpy misses every iteration by design: it realigns the freshly created
   // y, whose destruction invalidates the plan — so no equality on misses or
@@ -313,17 +311,17 @@ TEST(CommRuntime, SpanAccessForcesFreshPlan) {
     DArray y = A.spmv(x);
     x.axpy(dense::Scalar{1e-9}, y);
   }
-  comm::PlanCache::Stats warm = rt.comm_plan_stats();
+  comm::PlanStats warm = rt.comm_plan_stats();
 
   // Mutable span access to the gathered operand: every plan built from its
   // state must be dropped, and the next spmv must re-derive.
   x.store().span<double>()[0] += 0.5;
-  comm::PlanCache::Stats after = rt.comm_plan_stats();
+  comm::PlanStats after = rt.comm_plan_stats();
   EXPECT_GT(after.invalidations, warm.invalidations);
 
   DArray y = A.spmv(x);
   rt.fence();
-  comm::PlanCache::Stats probe = rt.comm_plan_stats();
+  comm::PlanStats probe = rt.comm_plan_stats();
   EXPECT_GT(probe.misses, after.misses);
 }
 
@@ -339,7 +337,7 @@ TEST(CommRuntime, RepartitionForcesFreshPlan) {
     DArray y = A.spmv(x);
     x.axpy(dense::Scalar{1e-9}, y);
   }
-  comm::PlanCache::Stats warm = rt.comm_plan_stats();
+  comm::PlanStats warm = rt.comm_plan_stats();
 
   // rows -> nnz changes the color runs, hence the structural key: the next
   // spmv cannot reuse any rows-keyed plan.
@@ -349,7 +347,7 @@ TEST(CommRuntime, RepartitionForcesFreshPlan) {
     x.axpy(dense::Scalar{1e-9}, y);
   }
   rt.fence();
-  comm::PlanCache::Stats probe = rt.comm_plan_stats();
+  comm::PlanStats probe = rt.comm_plan_stats();
   EXPECT_GT(probe.misses, warm.misses);
 
   // And the nnz structure warms up in turn.
@@ -357,10 +355,10 @@ TEST(CommRuntime, RepartitionForcesFreshPlan) {
     DArray y = A.spmv(x);
     x.axpy(dense::Scalar{1e-9}, y);
   }
-  comm::PlanCache::Stats warm2 = rt.comm_plan_stats();
+  comm::PlanStats warm2 = rt.comm_plan_stats();
   DArray y = A.spmv(x);
   rt.fence();
-  comm::PlanCache::Stats steady = rt.comm_plan_stats();
+  comm::PlanStats steady = rt.comm_plan_stats();
   EXPECT_GT(steady.hits, warm2.hits);
 }
 
@@ -369,7 +367,7 @@ TEST(CommRuntime, DestroyedStoreInvalidatesItsPlans) {
   rt::Runtime rt(sim::Machine::gpus(kProcs, pp), comm_opts(comm::Mode::Plan));
   apps::HostProblem prob = zipf_problem();
   CsrMatrix A = from_problem(rt, prob);
-  comm::PlanCache::Stats warm;
+  comm::PlanStats warm;
   {
     DArray x1 = DArray::full(rt, prob.rows, 1.0);
     for (int i = 0; i < 4; ++i) {
@@ -380,13 +378,13 @@ TEST(CommRuntime, DestroyedStoreInvalidatesItsPlans) {
   }
   // x1 destroyed: the csr_spmv plans gathering it must not survive, even if
   // a later store recycles its footprint.
-  comm::PlanCache::Stats after = rt.comm_plan_stats();
+  comm::PlanStats after = rt.comm_plan_stats();
   EXPECT_GT(after.invalidations, warm.invalidations);
 
   DArray x2 = DArray::full(rt, prob.rows, 1.0);
   DArray y = A.spmv(x2);
   rt.fence();
-  comm::PlanCache::Stats probe = rt.comm_plan_stats();
+  comm::PlanStats probe = rt.comm_plan_stats();
   EXPECT_GT(probe.misses, after.misses);
 }
 
@@ -407,7 +405,7 @@ TEST(CommRuntime, CgHitRateAtLeastNinetyPercent) {
   DArray b = DArray::full(rt, A.rows(), 1.0);
   solve::SolveResult res = solve::cg(A, b, 1e-12, 25);
   EXPECT_GT(res.iterations, 5);
-  comm::PlanCache::Stats st = rt.comm_plan_stats();
+  comm::PlanStats st = rt.comm_plan_stats();
   ASSERT_GT(st.hits + st.misses, 0);
   const double rate =
       static_cast<double>(st.hits) / static_cast<double>(st.hits + st.misses);
@@ -461,7 +459,7 @@ TEST(CommRuntime, MetricsMirrorPlannerActivity) {
     x.axpy(dense::Scalar{1e-9}, y);
   }
   rt.fence();
-  comm::PlanCache::Stats st = rt.comm_plan_stats();
+  comm::PlanStats st = rt.comm_plan_stats();
   metrics::Snapshot snap = rt.metrics_snapshot();
   const auto* hits = snap.find("lsr_comm_plan_hits_total");
   const auto* misses = snap.find("lsr_comm_plan_misses_total");

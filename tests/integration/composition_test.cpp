@@ -60,13 +60,14 @@ TEST(Composition, SteadyStateChainsCopyOnlyHalos) {
     x = A.spmv(x);
     x.iscale(0.25);
   }
-  const auto& st = rt.engine().stats();
-  double before = st.bytes_nvlink + st.bytes_ib + st.bytes_intra;
+  const sim::Stats st0 = rt.engine().stats();
+  double before = st0.bytes_nvlink + st0.bytes_ib + st0.bytes_intra;
   for (int i = 0; i < 3; ++i) {
     x = A.spmv(x);
     x.iscale(0.25);
   }
   rt.fence();  // stats observation point: drain deferred launches
+  const sim::Stats st = rt.engine().stats();
   double per_iter = (st.bytes_nvlink + st.bytes_ib + st.bytes_intra - before) / 3;
   // Tridiagonal halo: one element in each direction at each of 2 cuts.
   EXPECT_DOUBLE_EQ(per_iter, 4 * 8.0);

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -17,6 +18,7 @@
 #include "prof/trace.h"
 #include "rt/runtime.h"
 #include "solve/krylov.h"
+#include "sparse/formats.h"
 #include "sparse/csr.h"
 
 namespace legate::prof {
@@ -252,6 +254,15 @@ TEST(RecorderTest, PredResolvesProducerByCompletionTime) {
   std::uint64_t c = r.record(Category::Kernel, p1, 1.5, 2.0, -1.0, "c");
   EXPECT_EQ(r.events()[b].pred, static_cast<std::int64_t>(a));
   EXPECT_EQ(r.events()[c].pred, static_cast<std::int64_t>(b));
+  // A marker completing at the same instant, on either track, changes no
+  // edge: d is still gated by its producer c, e still queues behind d.
+  std::uint64_t m0 = r.record(Category::Comm, p1, 2.0, 2.0, -1.0, "comm");
+  r.record(Category::Fused, p0, 2.0, 2.0, -1.0, "fused");
+  std::uint64_t d = r.record(Category::Kernel, p0, 2.0, 2.5, 2.0, "d");
+  std::uint64_t e = r.record(Category::Kernel, p0, 2.5, 3.0, -1.0, "e");
+  EXPECT_EQ(r.events()[m0].pred, -1);
+  EXPECT_EQ(r.events()[d].pred, static_cast<std::int64_t>(c));
+  EXPECT_EQ(r.events()[e].pred, static_cast<std::int64_t>(d));
 }
 
 TEST(RecorderTest, ResetDropsEventsBusyAndTraffic) {
@@ -396,7 +407,7 @@ TEST(TraceTest, MetricsSnapshotEmitsInstantMarker) {
   sim::Machine m = sim::Machine::gpus(1, pp);
   sim::Engine e(m);
   e.recorder().enable();
-  e.note_snapshot();
+  e.emit(sim::Ev::Snapshot);
   JsonValue doc = parse_json(chrome_trace_json(e.recorder()));
   bool found = false;
   for (const auto& ev : doc.at("traceEvents").array) {
@@ -411,14 +422,16 @@ TEST(TraceTest, InstantMarkersUseInstantPhase) {
   sim::Machine m = sim::Machine::gpus(1, pp);
   sim::Engine e(m);
   e.recorder().enable();
-  e.note_fault();
-  e.note_retry();
+  for (sim::Ev k : {sim::Ev::Fault, sim::Ev::Retry, sim::Ev::Spill,
+                    sim::Ev::FlipInjected, sim::Ev::Fused, sim::Ev::Comm}) {
+    e.emit(k);
+  }
   JsonValue doc = parse_json(chrome_trace_json(e.recorder()));
   int instants = 0;
   for (const auto& ev : doc.at("traceEvents").array) {
     if (ev.at("ph").str == "i") ++instants;
   }
-  EXPECT_EQ(instants, 2);
+  EXPECT_EQ(instants, 6);
 }
 
 TEST(TraceTest, EventsEmitInMonotonicTimestampOrderPerProcess) {
@@ -559,6 +572,220 @@ TEST(ProfEndToEndTest, TrafficMatrixSeesInterNodeBytes) {
   EXPECT_GT(traffic.at({0, 1}), 0.0);
   EXPECT_GT(traffic.at({1, 0}), 0.0);
 }
+
+// --- Runtime-recorded timelines: critical path and sink consistency -------
+
+/// One run mode of the runtime-level critical-path test.
+struct CritLeg {
+  const char* name;
+  rt::Fusion fusion;
+  comm::Mode comm;
+  bool faults;
+};
+
+void PrintTo(const CritLeg& leg, std::ostream* os) { *os << leg.name; }
+
+class RuntimeCriticalPath : public ::testing::TestWithParam<CritLeg> {};
+
+TEST_P(RuntimeCriticalPath, ExplainsTheRecordedWindowWithoutWait) {
+  // A CG solve recorded through the real runtime. Markers (fused, comm,
+  // fault, retry, metrics-snapshot) fire on the control track in most of
+  // these modes; none may become a predecessor, or the walk falls onto the
+  // control lane and reports the gaps as wait.
+  const CritLeg& leg = GetParam();
+  sim::PerfParams pp;
+  rt::RuntimeOptions opts;
+  opts.fusion = leg.fusion;
+  opts.comm = leg.comm;
+  std::unique_ptr<sim::Machine> machine;
+  std::unique_ptr<rt::Runtime> runtime;
+  double t0 = 0;
+  if (!leg.faults) {
+    // Steady state of a 2-D Poisson CG on 12 GPUs over 2 nodes, recorded
+    // after a warm-up that distributes the matrix.
+    machine = std::make_unique<sim::Machine>(sim::Machine::gpus(12, pp));
+    runtime = std::make_unique<rt::Runtime>(*machine, opts);
+    apps::HostProblem prob = apps::poisson2d(48);
+    auto A = sparse::CsrMatrix::from_host(*runtime, prob.rows, prob.cols,
+                                          prob.indptr, prob.indices, prob.values);
+    auto b = dense::DArray::full(*runtime, prob.rows, 1.0);
+    (void)solve::cg(A, b, /*tol=*/0.0, /*maxiter=*/2);
+    t0 = runtime->sim_time();
+    runtime->engine().recorder().enable();
+    (void)solve::cg(A, b, /*tol=*/0.0, /*maxiter=*/8);
+  } else {
+    // bench_resilience's transient-1pct point: the whole solve recorded.
+    // Each retry waits out its failure detection and backoff (300 us here)
+    // with no event covering it, so a retry on the chain is real wait; at
+    // this size one retry lands on a 120 ms path.
+    opts.faults.enabled = true;
+    opts.faults.seed = 7;
+    opts.faults.task_fault_rate = 0.01;
+    machine = std::make_unique<sim::Machine>(
+        sim::Machine::gpus(4, pp, /*gpus_per_node=*/2));
+    runtime = std::make_unique<rt::Runtime>(*machine, opts);
+    auto A = sparse::diags(*runtime, 4096, {{-1, -1.0}, {0, 2.0}, {1, -1.0}});
+    auto b = dense::DArray::random(*runtime, 4096, 1);
+    runtime->engine().recorder().enable();
+    (void)solve::cg(A, b, /*tol=*/1e-8, /*maxiter=*/500);
+    ASSERT_GT(runtime->engine().stats().retries, 0) << "no fault fired";
+  }
+  (void)runtime->metrics_snapshot();
+  const Recorder& rec = runtime->engine().recorder();
+  // The recorded window: first recorded start (the control lane issues a
+  // little ahead of execution) to the final makespan.
+  double first = runtime->sim_time();
+  for (const Event& ev : rec.events()) first = std::min(first, ev.start);
+  const double window = runtime->sim_time() - std::min(first, t0);
+
+  const CriticalPath cp = critical_path(rec);
+  ASSERT_FALSE(cp.chain.empty());
+  ASSERT_GT(cp.total_seconds, 0.0);
+  double attributed = cp.wait_seconds;
+  for (const auto& [cat, sec] : cp.by_category) attributed += sec;
+  EXPECT_NEAR(attributed, cp.total_seconds, 1e-9 * cp.total_seconds);
+  EXPECT_LE(cp.total_seconds, window);
+  EXPECT_LE(cp.wait_seconds, 0.01 * cp.total_seconds) << critical_path_report(rec);
+  for (std::uint64_t id : cp.chain) EXPECT_FALSE(is_marker(rec.events()[id].cat));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Modes, RuntimeCriticalPath,
+    ::testing::Values(
+        CritLeg{"FuseOffCommOff", rt::Fusion::Off, comm::Mode::Off, false},
+        CritLeg{"FuseOffCommPlan", rt::Fusion::Off, comm::Mode::Plan, false},
+        CritLeg{"FuseOffCommOverlap", rt::Fusion::Off, comm::Mode::Overlap, false},
+        CritLeg{"FuseOnCommOff", rt::Fusion::On, comm::Mode::Off, false},
+        CritLeg{"FuseOnCommPlan", rt::Fusion::On, comm::Mode::Plan, false},
+        CritLeg{"FuseOnCommOverlap", rt::Fusion::On, comm::Mode::Overlap, false},
+        CritLeg{"TransientFaultsCommPlan", rt::Fusion::Off, comm::Mode::Plan,
+                true}),
+    [](const ::testing::TestParamInfo<CritLeg>& info) {
+      return std::string(info.param.name);
+    });
+
+/// Every sink of Engine::emit sees the same events: for each kind, the
+/// prof marker count, the flight-recorder event count, the registry counter
+/// and the Stats field agree.
+void expect_sinks_agree(const rt::RuntimeOptions& opts) {
+  sim::PerfParams pp;
+  sim::Machine machine = sim::Machine::gpus(12, pp);
+  rt::Runtime runtime(machine, opts);
+  runtime.engine().recorder().enable();
+  apps::HostProblem prob = apps::poisson2d(48);
+  auto A = sparse::CsrMatrix::from_host(runtime, prob.rows, prob.cols,
+                                        prob.indptr, prob.indices, prob.values);
+  auto b = dense::DArray::full(runtime, prob.rows, 1.0);
+  (void)solve::cg(A, b, /*tol=*/0.0, /*maxiter=*/12, nullptr,
+                  solve::CheckpointPolicy{4});
+  runtime.integrity_scrub();
+  const metrics::Snapshot snap = runtime.metrics_snapshot();
+  const sim::Stats st = runtime.engine().stats();
+  auto counter = [&](const char* name) {
+    const auto* m = snap.find(name);
+    return m == nullptr ? -1L : static_cast<long>(m->value);
+  };
+  ASSERT_EQ(counter("lsr_diag_events_dropped_total"), 0) << "ring too small";
+
+  std::map<Category, long> markers;
+  for (const Event& ev : runtime.engine().recorder().events()) {
+    if (is_marker(ev.cat)) ++markers[ev.cat];
+  }
+  std::map<diag::EventKind, long> recorded;
+  long flip_codes[3] = {0, 0, 0};
+  long fused_decisions = 0;
+  for (const auto& [ring, ev] : runtime.engine().flight().drain().events) {
+    ++recorded[ev.kind];
+    if (ev.kind == diag::EventKind::Integrity) ++flip_codes[ev.a];
+    if (ev.kind == diag::EventKind::FuseDecision &&
+        std::string(ev.label) == "fused") {
+      ++fused_decisions;
+    }
+  }
+
+  // Every sink below must see something, or an agreement proves nothing.
+  EXPECT_GT(markers[Category::Comm], 0);
+  if (opts.faults.enabled) {
+    EXPECT_GT(markers[Category::Retry], 0);
+    EXPECT_GT(markers[Category::Integrity], 0);
+    EXPECT_GT(flip_codes[2], 0);
+  } else {
+    EXPECT_GT(markers[Category::Fused], 0);
+  }
+
+  EXPECT_EQ(counter("lsr_sim_tasks_total"), st.tasks);
+  // Fault: transient faults and node losses share the marker and counter.
+  EXPECT_EQ(markers[Category::Fault],
+            recorded[diag::EventKind::Fault] + recorded[diag::EventKind::NodeLoss]);
+  EXPECT_EQ(markers[Category::Fault], counter("lsr_sim_faults_total"));
+  EXPECT_EQ(markers[Category::Fault], st.faults_injected);
+  EXPECT_EQ(markers[Category::Retry], recorded[diag::EventKind::Retry]);
+  EXPECT_EQ(markers[Category::Retry], counter("lsr_sim_retries_total"));
+  EXPECT_EQ(markers[Category::Retry], st.retries);
+  EXPECT_EQ(markers[Category::Spill], recorded[diag::EventKind::Spill]);
+  EXPECT_EQ(markers[Category::Spill], counter("lsr_sim_spills_total"));
+  EXPECT_EQ(markers[Category::Spill], st.spills);
+  EXPECT_EQ(markers[Category::Integrity], recorded[diag::EventKind::Integrity]);
+  EXPECT_EQ(flip_codes[0], counter("lsr_integrity_flips_injected_total"));
+  EXPECT_EQ(flip_codes[1], counter("lsr_integrity_flips_detected_total"));
+  EXPECT_EQ(flip_codes[2], counter("lsr_integrity_flips_recovered_total"));
+  EXPECT_EQ(flip_codes[0], st.flips_injected);
+  EXPECT_EQ(flip_codes[1], st.flips_detected);
+  EXPECT_EQ(flip_codes[2], st.flips_recovered);
+  // Comm: one marker per applied plan (CG issues no shuffle).
+  const comm::PlanStats plans = runtime.comm_plan_stats();
+  EXPECT_EQ(markers[Category::Comm], recorded[diag::EventKind::Comm]);
+  EXPECT_EQ(markers[Category::Comm], counter("lsr_comm_plan_hits_total") +
+                                         counter("lsr_comm_plan_misses_total"));
+  EXPECT_EQ(markers[Category::Comm], plans.hits + plans.misses);
+  // Fused: one marker per fused launch, which folds k launches and
+  // eliminates k - 1 of them.
+  EXPECT_EQ(markers[Category::Fused], fused_decisions);
+  EXPECT_EQ(markers[Category::Fused],
+            counter("lsr_fuse_launches_fused_total") -
+                counter("lsr_fuse_launches_eliminated_total"));
+  EXPECT_EQ(markers[Category::Fused],
+            runtime.fused_participants() - runtime.fused_eliminated());
+  EXPECT_EQ(markers[Category::Snapshot], 1);
+
+  // Markers export as instants, whatever their category.
+  JsonValue doc = parse_json(chrome_trace_json(runtime.engine().recorder()));
+  std::map<std::string, long> instants;
+  for (const auto& ev : doc.at("traceEvents").array) {
+    if (ev.at("ph").str == "M") continue;
+    bool marker = false;
+    for (const CategoryInfo& c : kCategoryInfo) {
+      if (c.marker && ev.at("cat").str == c.name) marker = true;
+    }
+    EXPECT_EQ(ev.at("ph").str == "i", marker) << ev.at("cat").str;
+    if (marker) ++instants[ev.at("cat").str];
+  }
+  EXPECT_EQ(instants["integrity"], markers[Category::Integrity]);
+  EXPECT_EQ(instants["comm"], markers[Category::Comm]);
+}
+
+rt::RuntimeOptions sink_options() {
+  rt::RuntimeOptions opts;
+  opts.comm = comm::Mode::Plan;
+  opts.fusion = rt::Fusion::On;
+  opts.diag = diag::Mode::On;
+  opts.diag_opts.ring_capacity = 1 << 16;
+  opts.diag_opts.watchdog = false;
+  return opts;
+}
+
+TEST(EventSinks, CountsAgreeUnderFaultsIntegrityAndPlans) {
+  rt::RuntimeOptions opts = sink_options();
+  opts.integrity = rt::Integrity::Recover;
+  opts.faults.enabled = true;  // also turns fusion off
+  opts.faults.seed = 5;
+  opts.faults.task_fault_rate = 0.01;
+  opts.faults.bitflip_rate = 5e-3;
+  opts.faults.output_flip_rate = 5e-3;
+  expect_sinks_agree(opts);
+}
+
+TEST(EventSinks, CountsAgreeWithFusedLaunches) { expect_sinks_agree(sink_options()); }
 
 }  // namespace
 }  // namespace legate::prof

@@ -104,14 +104,14 @@ TEST_F(CoalescingFig5, SteadyStateOnlyHaloTraffic) {
     x = y;
   }
 
-  const auto& st = rt.engine().stats();
-  double nvlink0 = st.bytes_nvlink;
-  double intra0 = st.bytes_intra;
+  double nvlink0 = rt.engine().stats().bytes_nvlink;
+  double intra0 = rt.engine().stats().bytes_intra;
   for (int it = 0; it < 5; ++it) {
     Store y = spmv(rt, A, x);
     scale_inplace(rt, y, 0.5);
     x = y;
     rt.fence();  // stats observation point: drain deferred launches
+    const sim::Stats st = rt.engine().stats();
     // Per iteration: exactly one 8-byte halo element in each direction.
     EXPECT_DOUBLE_EQ(st.bytes_nvlink - nvlink0, 16.0 * (it + 1));
     // And no further allocation resizing.
@@ -133,14 +133,15 @@ TEST_F(CoalescingFig5, WithoutCoalescingEveryIterationRecopies) {
     scale_inplace(rt, y, 0.5);
     x = y;
   }
-  const auto& st = rt.engine().stats();
-  double total0 = st.bytes_nvlink + st.bytes_intra;
+  const sim::Stats st0 = rt.engine().stats();
+  double total0 = st0.bytes_nvlink + st0.bytes_intra;
   for (int it = 0; it < 3; ++it) {
     Store y = spmv(rt, A, x);
     scale_inplace(rt, y, 0.5);
     x = y;
   }
   rt.fence();  // stats observation point: drain deferred launches
+  const sim::Stats st = rt.engine().stats();
   // Far more than halo traffic: each iteration re-copies whole blocks
   // (block-sized local copies plus the halo elements).
   EXPECT_GT(st.bytes_nvlink + st.bytes_intra - total0, 3 * 16.0 * 10);

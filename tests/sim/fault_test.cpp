@@ -281,7 +281,7 @@ TEST(Engine, ResilienceCountersOnlyInReportWhenNonzero) {
   Engine clean(m);
   EXPECT_EQ(clean.report().find("faults{"), std::string::npos);
   Engine faulty(m);
-  faulty.note_fault();
+  faulty.emit(Ev::Fault);
   EXPECT_NE(faulty.report().find("faults{"), std::string::npos);
 }
 
