@@ -28,18 +28,12 @@ apps::HostProblem problem_for(int procs) {
   return apps::poisson2d(grid);
 }
 
-struct LegateRun {
-  double sim_per_iter;
-  double wall_per_iter;
-};
-
-LegateRun run_legate_once(sim::ProcKind kind, int procs, const std::string& point,
-                          int threads) {
+double run_legate(sim::ProcKind kind, int procs, const std::string& point) {
   sim::PerfParams pp;
   sim::Machine machine = kind == sim::ProcKind::GPU ? sim::Machine::gpus(procs, pp)
                                                     : sim::Machine::sockets(procs, pp);
   rt::RuntimeOptions opts;
-  opts.exec_threads = threads;
+  opts.exec_threads = lsr_bench::bench_threads();
   opts.partition = lsr_bench::bench_partition();
   opts.fusion = lsr_bench::bench_fusion();
   opts.comm = lsr_bench::bench_comm();
@@ -57,29 +51,14 @@ LegateRun run_legate_once(sim::ProcKind kind, int procs, const std::string& poin
   lsr_bench::profile_begin(runtime.engine(), point);
   auto mbase = lsr_bench::metrics_begin(runtime, point);
   double t0 = runtime.sim_time();
-  double w0 = lsr_bench::wall_now();
   auto res = solve::cg(A, b, /*tol=*/0.0, kIters);
   benchmark::DoNotOptimize(res.residual);
-  runtime.fence();  // drain deferred launches before stopping the wall clock
-  double wall = (lsr_bench::wall_now() - w0) / kIters;
   double sim_per_iter = (runtime.sim_time() - t0) / kIters;
   lsr_bench::metrics_end(runtime, point, mbase, sim_per_iter);
   lsr_bench::profile_end(runtime.engine(), point);
   lsr_bench::note_fusion(point, runtime);
   lsr_bench::diag_point_end(runtime, point);
-  return {sim_per_iter, wall};
-}
-
-double run_legate(sim::ProcKind kind, int procs, const std::string& point) {
-  int threads = lsr_bench::bench_threads();
-  LegateRun run = run_legate_once(kind, procs, point, threads);
-  double wall_seq = run.wall_per_iter;
-  if (threads > 1) {
-    // Sequential reference for the measured wall-clock speedup counter.
-    wall_seq = run_legate_once(kind, procs, "", 1).wall_per_iter;
-  }
-  lsr_bench::note_wall(point, run.wall_per_iter, wall_seq, threads);
-  return run.sim_per_iter;
+  return sim_per_iter;
 }
 
 double run_petsc(sim::ProcKind kind, int procs) {

@@ -24,18 +24,12 @@ constexpr coord_t kHalfBand = 5;
 constexpr double kScale = 64.0;
 constexpr int kIters = 5;
 
-struct LegateRun {
-  double sim_per_iter;
-  double wall_per_iter;
-};
-
-LegateRun run_legate_once(sim::ProcKind kind, int procs, const std::string& point,
-                          int threads) {
+double run_legate(sim::ProcKind kind, int procs, const std::string& point) {
   sim::PerfParams pp;
   sim::Machine machine = kind == sim::ProcKind::GPU ? sim::Machine::gpus(procs, pp)
                                                     : sim::Machine::sockets(procs, pp);
   rt::RuntimeOptions opts;
-  opts.exec_threads = threads;
+  opts.exec_threads = lsr_bench::bench_threads();
   opts.partition = lsr_bench::bench_partition();
   opts.fusion = lsr_bench::bench_fusion();
   opts.comm = lsr_bench::bench_comm();
@@ -49,30 +43,15 @@ LegateRun run_legate_once(sim::ProcKind kind, int procs, const std::string& poin
   lsr_bench::profile_begin(runtime.engine(), point);
   auto mbase = lsr_bench::metrics_begin(runtime, point);
   double t0 = runtime.sim_time();
-  double w0 = lsr_bench::wall_now();
   for (int i = 0; i < kIters; ++i) {
     auto y = A.spmv(x);
     benchmark::DoNotOptimize(y.store().span<double>().data());
   }
-  runtime.fence();  // drain deferred launches before stopping the wall clock
-  double wall = (lsr_bench::wall_now() - w0) / kIters;
   double sim_per_iter = (runtime.sim_time() - t0) / kIters;
   lsr_bench::metrics_end(runtime, point, mbase, sim_per_iter);
   lsr_bench::profile_end(runtime.engine(), point);
   lsr_bench::note_fusion(point, runtime);
-  return {sim_per_iter, wall};
-}
-
-double run_legate(sim::ProcKind kind, int procs, const std::string& point) {
-  int threads = lsr_bench::bench_threads();
-  LegateRun run = run_legate_once(kind, procs, point, threads);
-  double wall_seq = run.wall_per_iter;
-  if (threads > 1) {
-    // Sequential reference for the measured wall-clock speedup counter.
-    wall_seq = run_legate_once(kind, procs, "", 1).wall_per_iter;
-  }
-  lsr_bench::note_wall(point, run.wall_per_iter, wall_seq, threads);
-  return run.sim_per_iter;
+  return sim_per_iter;
 }
 
 // Partition-strategy sweep: a Zipf-skewed matrix (power-law head, row 0
@@ -84,11 +63,10 @@ constexpr coord_t kSkewRowsPerProc = 20000;
 constexpr coord_t kSkewAvgNnz = 8;
 constexpr double kSkewS = 1.05;
 
-LegateRun run_skew_once(int procs, rt::PartitionStrategy strat,
-                        const std::string& point, int threads) {
+double run_skew(int procs, rt::PartitionStrategy strat, const std::string& point) {
   sim::PerfParams pp;
   rt::RuntimeOptions opts;
-  opts.exec_threads = threads;
+  opts.exec_threads = lsr_bench::bench_threads();
   opts.partition = strat;
   opts.comm = lsr_bench::bench_comm();
   rt::Runtime runtime(sim::Machine::gpus(procs, pp), opts);
@@ -102,28 +80,14 @@ LegateRun run_skew_once(int procs, rt::PartitionStrategy strat,
   lsr_bench::profile_begin(runtime.engine(), point);
   auto mbase = lsr_bench::metrics_begin(runtime, point);
   double t0 = runtime.sim_time();
-  double w0 = lsr_bench::wall_now();
   for (int i = 0; i < kIters; ++i) {
     auto y = A.spmv(x);
     benchmark::DoNotOptimize(y.store().span<double>().data());
   }
-  runtime.fence();
-  double wall = (lsr_bench::wall_now() - w0) / kIters;
   double sim_per_iter = (runtime.sim_time() - t0) / kIters;
   lsr_bench::metrics_end(runtime, point, mbase, sim_per_iter);
   lsr_bench::profile_end(runtime.engine(), point);
-  return {sim_per_iter, wall};
-}
-
-double run_skew(int procs, rt::PartitionStrategy strat, const std::string& point) {
-  int threads = lsr_bench::bench_threads();
-  LegateRun run = run_skew_once(procs, strat, point, threads);
-  double wall_seq = run.wall_per_iter;
-  if (threads > 1) {
-    wall_seq = run_skew_once(procs, strat, "", 1).wall_per_iter;
-  }
-  lsr_bench::note_wall(point, run.wall_per_iter, wall_seq, threads);
-  return run.sim_per_iter;
+  return sim_per_iter;
 }
 
 // Communication-planner sweep: the same Zipf-skewed matrix under nnz-balanced
@@ -133,11 +97,10 @@ double run_skew(int procs, rt::PartitionStrategy strat, const std::string& point
 // this records the plan-cache hit rate, the coalesced message count, and the
 // per-link byte split; off vs plan shows the message-coalescing win, plan vs
 // overlap the interior/boundary compute-comm overlap win.
-LegateRun run_comm_once(int procs, comm::Mode mode, const std::string& point,
-                        int threads) {
+double run_comm(int procs, comm::Mode mode, const std::string& point) {
   sim::PerfParams pp;
   rt::RuntimeOptions opts;
-  opts.exec_threads = threads;
+  opts.exec_threads = lsr_bench::bench_threads();
   opts.partition = rt::PartitionStrategy::Nnz;
   opts.comm = mode;
   rt::Runtime runtime(sim::Machine::gpus(procs, pp), opts);
@@ -154,29 +117,15 @@ LegateRun run_comm_once(int procs, comm::Mode mode, const std::string& point,
   lsr_bench::profile_begin(runtime.engine(), point);
   auto mbase = lsr_bench::metrics_begin(runtime, point);
   double t0 = runtime.sim_time();
-  double w0 = lsr_bench::wall_now();
   for (int i = 0; i < kIters; ++i) {
     auto y = A.spmv(x);
     x.axpy(dense::Scalar{1e-9}, y);  // dirty x: next spmv re-gathers it
     benchmark::DoNotOptimize(y.store().span<double>().data());
   }
-  runtime.fence();
-  double wall = (lsr_bench::wall_now() - w0) / kIters;
   double sim_per_iter = (runtime.sim_time() - t0) / kIters;
   lsr_bench::metrics_end(runtime, point, mbase, sim_per_iter);
   lsr_bench::profile_end(runtime.engine(), point);
-  return {sim_per_iter, wall};
-}
-
-double run_comm(int procs, comm::Mode mode, const std::string& point) {
-  int threads = lsr_bench::bench_threads();
-  LegateRun run = run_comm_once(procs, mode, point, threads);
-  double wall_seq = run.wall_per_iter;
-  if (threads > 1) {
-    wall_seq = run_comm_once(procs, mode, "", 1).wall_per_iter;
-  }
-  lsr_bench::note_wall(point, run.wall_per_iter, wall_seq, threads);
-  return run.sim_per_iter;
+  return sim_per_iter;
 }
 
 double run_petsc(sim::ProcKind kind, int procs) {

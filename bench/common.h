@@ -11,7 +11,6 @@
 
 #include <benchmark/benchmark.h>
 
-#include <chrono>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
@@ -171,28 +170,17 @@ inline legate::rt::Fusion bench_fusion() { return prof_options().fusion; }
 /// i.e. LSR_COMM or off).
 inline legate::comm::Mode bench_comm() { return prof_options().comm; }
 
-/// Extra per-point counters (real wall-clock seconds, measured speedup)
-/// attached by the run functions and exported by register_point.
+/// Extra per-point counters (fused-launch totals) attached by the run
+/// functions and exported by register_point.
 inline std::map<std::string, std::map<std::string, double>>& extra_counters() {
   static std::map<std::string, std::map<std::string, double>> m;
   return m;
 }
 
-/// Record the measured wall-clock seconds/iteration of a run executed with
-/// `threads` executor threads, plus the sequential reference when one was
-/// taken; register_point exports them as wall_s / wall_speedup counters.
-inline void note_wall(const std::string& point, double wall_s, double wall_seq_s,
-                      int threads) {
-  auto& c = extra_counters()[point];
-  c["wall_s"] = wall_s;
-  c["threads"] = threads > 0 ? threads : 1;
-  if (wall_seq_s > 0 && wall_s > 0) c["wall_speedup"] = wall_seq_s / wall_s;
-}
-
 /// Record a run's fused-launch counters (whole-runtime totals, warm-up
 /// included): how many original launches were folded into fused launches and
-/// how many dispatches that eliminated. Exported next to wall_s by
-/// register_point, and 0/absent with fusion off.
+/// how many dispatches that eliminated. Exported as benchmark counters by
+/// register_point, and absent with fusion off.
 inline void note_fusion(const std::string& point, legate::rt::Runtime& rt) {
   if (point.empty() || !rt.fusion_enabled()) return;
   auto& c = extra_counters()[point];
@@ -208,13 +196,6 @@ inline void diag_point_end(legate::rt::Runtime& rt, const std::string& point) {
   if (!prof_options().dump_on_exit || point.empty()) return;
   const std::string path = rt.diag_dump("exit:" + point);
   if (!path.empty()) std::cerr << "diag dump written to " << path << "\n";
-}
-
-/// Monotonic wall-clock seconds (for the real-execution speedup counters).
-inline double wall_now() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
 }
 
 /// Whether the point `name` should be profiled under the current flags.
@@ -283,7 +264,7 @@ inline std::map<std::string, MetricsEntry>& metrics_entries() {
 
 /// Snapshot the runtime's metrics before the timed region (fences, so the
 /// warm-up's deferred launches are fully attributed to the base). Unnamed
-/// runs (sequential wall-clock references) are never recorded.
+/// runs are never recorded.
 inline legate::metrics::Snapshot metrics_begin(legate::rt::Runtime& rt,
                                                const std::string& point) {
   if (!metrics_enabled() || point.empty()) return {};
@@ -302,14 +283,10 @@ inline void metrics_end(legate::rt::Runtime& rt, const std::string& point,
 
 /// Write the BENCH_*.json schema consumed by scripts/bench_compare.py:
 ///   {"schema":1,"bench":"<name>","points":{"<point>":
-///      {"sim_s_per_iter":S,"wall":{...},"snapshot":{"metrics":[...]}}, ...}}
-/// The "wall" object (measured wall seconds/iteration, thread count,
-/// speedup vs a sequential reference — whatever note_wall recorded) is
-/// informational: wall clocks are machine-specific, so bench_compare.py
-/// never gates on it, but committed baselines still document e.g. the
-/// rows-vs-nnz wall-time gap of the partition sweep alongside the gated
-/// deterministic sim numbers. Returns false (and prints to stderr) if the
-/// file cannot be written.
+///      {"sim_s_per_iter":S,"snapshot":{"metrics":[...]}}, ...}}
+/// Only deterministic simulated numbers go here: host wall time is
+/// machine-specific, so it is measured by perfbench A/B runs instead.
+/// Returns false (and prints to stderr) if the file cannot be written.
 inline bool metrics_write(const std::string& bench_name) {
   if (!metrics_enabled()) return true;
   std::ofstream os(prof_options().metrics_path);
@@ -330,20 +307,6 @@ inline bool metrics_write(const std::string& bench_name) {
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", e.sim_s_per_iter);
     os << quoted << ":{\"sim_s_per_iter\":" << buf;
-    auto ec = extra_counters().find(point);
-    if (ec != extra_counters().end() && !ec->second.empty()) {
-      os << ",\"wall\":{";
-      bool wfirst = true;
-      for (const auto& [k, v] : ec->second) {
-        if (!wfirst) os << ',';
-        wfirst = false;
-        std::snprintf(buf, sizeof(buf), "%.17g", v);
-        std::string kq;
-        legate::metrics::append_json_string(kq, k);
-        os << kq << ':' << buf;
-      }
-      os << '}';
-    }
     os << ",\"snapshot\":" << e.snap.to_json(/*stable_only=*/true) << '}';
   }
   os << "}}\n";

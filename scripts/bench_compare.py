@@ -29,11 +29,8 @@ Checks, in order of severity:
 Improvements (faster sim_s_per_iter, new points, new metrics) never fail;
 they are reported so the baseline can be refreshed deliberately.
 
-Points may carry an informational "wall" object (measured wall
-seconds/iteration, thread count, speedup). Wall clocks are machine-specific,
-so it is never compared — it exists so committed baselines document
-real-execution effects (e.g. the partition sweep's rows-vs-nnz wall gap)
-next to the gated deterministic sim numbers.
+Host wall time is machine-specific and not part of the schema: it is
+measured by perfbench (scripts/perf_ab.py), never gated here.
 
 Exit status: 0 all green, 1 regression(s), 2 bad invocation / unreadable
 or mis-shaped input.

@@ -64,7 +64,10 @@ run_asan() {
 }
 
 run_tsan() {
-  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DLSR_TSAN=ON
+  # Warnings are errors here too: GCC's ThreadSanitizer warns (-Wtsan) about
+  # constructs it cannot model, such as atomic_thread_fence.
+  cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DLSR_TSAN=ON \
+    -DCMAKE_CXX_FLAGS=-Werror
   cmake --build build-tsan -j --target exec_tests rt_tests metrics_tests integrity_tests fuse_tests comm_tests diag_tests
   LSR_EXEC_THREADS=4 ./build-tsan/tests/exec_tests
   LSR_EXEC_THREADS=4 ./build-tsan/tests/rt_tests

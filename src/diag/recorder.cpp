@@ -172,13 +172,13 @@ bool Ring::push(const Event& e) {
   Slot& s = slots_[h & mask_];
   std::uint64_t w[kWords];
   std::memcpy(w, &e, sizeof(Event));
-  // Seqlock write (Boehm's recipe): odd marker, release fence, payload,
-  // even marker with release. Readers that observe the even marker twice
-  // around their payload loads got a consistent copy.
+  // Seqlock write, Boehm's fence-free variant: odd marker, payload words
+  // stored with release (each orders the odd marker before it), even marker
+  // with release. Readers that observe the even marker twice around their
+  // payload loads got a consistent copy.
   s.sq.store(2 * h + 1, std::memory_order_relaxed);
-  std::atomic_thread_fence(std::memory_order_release);
   for (std::size_t i = 0; i < kWords; ++i)
-    s.w[i].store(w[i], std::memory_order_relaxed);
+    s.w[i].store(w[i], std::memory_order_release);
   s.sq.store(2 * h + 2, std::memory_order_release);
   head_.store(h + 1, std::memory_order_release);
   return drop;
@@ -209,9 +209,10 @@ std::vector<Event> Ring::drain(std::uint64_t min_seq) const {
       const std::uint64_t q1 = s.sq.load(std::memory_order_acquire);
       if (q1 != 2 * i + 2) break;  // slot overwritten or mid-write; skip
       std::uint64_t w[kWords];
+      // Acquire payload loads: a word from a newer write makes that write's
+      // odd marker visible to the q2 load below.
       for (std::size_t j = 0; j < kWords; ++j)
-        w[j] = s.w[j].load(std::memory_order_relaxed);
-      std::atomic_thread_fence(std::memory_order_acquire);
+        w[j] = s.w[j].load(std::memory_order_acquire);
       const std::uint64_t q2 = s.sq.load(std::memory_order_relaxed);
       if (q1 == q2) {
         std::memcpy(&e, w, sizeof(Event));

@@ -376,19 +376,14 @@ Store Runtime::create_store(DType dtype, std::vector<coord_t> shape,
 
 void Runtime::mark_attached(const Store& s) {
   fence();  // attachment observes and republishes the canonical bytes
+  // Materialize the backing allocation in the home memory; it holds version 1.
+  const int home = machine_.home_memory();
+  double esize = static_cast<double>(dtype_size(s.dtype()));
+  alloc_with_spill(home, static_cast<double>(s.volume()) * esize, s.id());
+  Alloc& a = mem_state_[home]->allocs[s.id()].emplace_back(s.extent(), ++use_tick_, esize);
   auto& ss = sync(s.id());
   ss.version_counter = 1;
-  ss.version.assign(s.extent(), 1);
-  ss.owner.assign(s.extent(), machine_.home_memory());
-  ss.last_write.assign(s.extent(), 0.0);
-  // Materialize the backing allocation in the home memory.
-  double esize = static_cast<double>(dtype_size(s.dtype()));
-  double bytes = static_cast<double>(s.volume()) * esize;
-  alloc_with_spill(machine_.home_memory(), bytes, s.id());
-  Alloc a{s.extent(), {}, {}, ++use_tick_, esize};
-  a.held.assign(s.extent(), 1);
-  a.ready.assign(s.extent(), 0.0);
-  mem_state_[machine_.home_memory()]->allocs[s.id()].push_back(std::move(a));
+  ss.write(s.extent(), home, 0.0, a);
   // The attach wrote the canonical bytes externally: refresh the checksums.
   auto v = s.view();
   integrity_record(s.id(), v.raw().data(), v.raw().size(), 0, v.raw().size());
@@ -577,23 +572,31 @@ std::uint64_t Runtime::image_identity(StoreId src, std::uint64_t src_part,
   return it->second;
 }
 
+Runtime::Alloc* Runtime::find_alloc(StoreId id, Interval elem, int mem) const {
+  auto& allocs = mem_state_[static_cast<std::size_t>(mem)]->allocs;
+  auto it = allocs.find(id);
+  if (it == allocs.end()) return nullptr;
+  for (auto& a : it->second) {
+    if (a.extent.contains(elem)) return &a;
+  }
+  return nullptr;
+}
+
 Runtime::Alloc& Runtime::find_or_create_alloc(const detail::StoreView& store,
                                               Interval elem, int mem) {
-  auto& allocs = mem_state_[mem]->allocs[store.id];
-  for (auto& a : allocs) {
-    if (a.extent.contains(elem)) {
-      a.last_use = ++use_tick_;
-      met_.alloc_existing.inc();
-      return a;
-    }
+  if (Alloc* a = find_alloc(store.id, elem, mem)) {
+    a->last_use = ++use_tick_;
+    met_.alloc_existing.inc();
+    return *a;
   }
+  auto& allocs = mem_state_[mem]->allocs[store.id];
   double esize = static_cast<double>(dtype_size(store.dtype));
 
   if (!opts_.coalescing) {
     // Ablation mode: exact-extent allocation per new requirement.
     met_.alloc_fresh.inc();
     alloc_with_spill(mem, static_cast<double>(elem.size()) * esize, store.id);
-    allocs.push_back(Alloc{elem, {}, {}, ++use_tick_, esize});
+    allocs.emplace_back(elem, ++use_tick_, esize);
     return allocs.back();
   }
 
@@ -609,7 +612,7 @@ Runtime::Alloc& Runtime::find_or_create_alloc(const detail::StoreView& store,
         pool.erase(it);
         met_.alloc_pool_reuse.inc();
         alloc_with_spill(mem, static_cast<double>(ext.size()) * esize, store.id);
-        allocs.push_back(Alloc{ext, {}, {}, ++use_tick_, esize});
+        allocs.emplace_back(ext, ++use_tick_, esize);
         return allocs.back();
       }
     }
@@ -638,27 +641,16 @@ Runtime::Alloc& Runtime::find_or_create_alloc(const detail::StoreView& store,
   } else {
     met_.alloc_coalesced.inc();
   }
-  Alloc merged_alloc{ext, {}, {}, ++use_tick_, esize};
+  Alloc merged_alloc{ext, ++use_tick_, esize};
   alloc_with_spill(mem, static_cast<double>(ext.size()) * esize, store.id);
   for (std::size_t i : merged) {
     Alloc& old = allocs[i];
     // Intra-memory copy of the valid contents into the resized allocation.
-    coord_t valid_elems = old.held.covered_size(old.extent);
+    coord_t valid_elems = old.held().covered_size(old.extent);
     if (valid_elems > 0) {
-      double src_ready = 0;
-      old.ready.for_each_in(old.extent,
-                            [&](Interval, double t) { src_ready = std::max(src_ready, t); });
       double done = engine_->copy(mem, mem, static_cast<double>(valid_elems) * esize,
-                                  src_ready);
-      old.held.for_each_in(old.extent, [&](Interval iv, std::uint64_t v) {
-        // Keep the newest version when merged allocations overlap.
-        merged_alloc.held.update(iv, [&](Interval, std::optional<std::uint64_t> prev) {
-          return prev ? std::max(*prev, v) : v;
-        });
-        merged_alloc.ready.update(iv, [&](Interval, std::optional<double> prev) {
-          return prev ? std::max(*prev, done) : done;
-        });
-      });
+                                  latest(old.held(), old.extent, 0.0));
+      merged_alloc.absorb(old, done);
     }
     engine_->free_bytes(mem, static_cast<double>(old.extent.size()) * esize);
   }
@@ -679,33 +671,25 @@ double Runtime::ensure_in_memory(const detail::StoreView& store, Interval elem,
   Alloc& alloc = find_or_create_alloc(store, elem, mem);
   double esize = static_cast<double>(dtype_size(store.dtype));
 
-  double data_ready = 0;
-  // Resize copies recorded their completion in `ready`; account for them.
-  alloc.ready.for_each_in(elem,
-                          [&](Interval, double t) { data_ready = std::max(data_ready, t); });
+  // Resize copies recorded their completion in `held`; account for them.
+  double data_ready = latest(alloc.held(), elem, 0.0);
   if (discard) return data_ready;
 
   // Copy every stale piece of the required (written) runs from its owner
   // memory — a piece may have several owners.
   auto copy_stale = [&](Interval iv, std::uint64_t v, const std::vector<Interval>& stale) {
     for (Interval piece : stale) {
-      for (auto& [p, src_mem] : owner_runs(ss.owner, piece, machine_.home_memory())) {
-        double src_ready = 0;
-        ss.last_write.for_each_in(
-            p, [&](Interval, double t) { src_ready = std::max(src_ready, t); });
-        double done =
-            engine_->copy(src_mem, mem, static_cast<double>(p.size()) * esize, src_ready);
-        alloc.held.assign(p, v);
-        alloc.ready.assign(p, done);
+      ss.written().for_each_run(piece, &Written::owner, [&](Interval p, int src_mem) {
+        double done = engine_->copy(src_mem, mem, static_cast<double>(p.size()) * esize,
+                                    latest(ss.written(), p, 0.0));
+        alloc.hold(p, v, done);
         data_ready = std::max(data_ready, done);
-      }
+      });
     }
     // Up-to-date pieces still gate on when they arrived.
-    alloc.ready.for_each_in(iv, [&](Interval, double t) {
-      data_ready = std::max(data_ready, t);
-    });
+    data_ready = latest(alloc.held(), iv, data_ready);
   };
-  for_each_stale(ss.version, alloc.held, elem, precise, copy_stale);
+  for_each_stale(ss.written(), alloc.held(), elem, precise, copy_stale);
   return data_ready;
 }
 
@@ -736,17 +720,15 @@ bool Runtime::evict_lru(int mem, StoreId requesting) {
   const bool is_frame = machine_.memory(mem).kind == sim::MemKind::Frame;
 
   // Pieces of `a` holding the *only* up-to-date copy (this memory owns the
-  // latest version there). Everything else in the allocation is a clean
-  // replica that can simply be dropped.
+  // latest version there), one per run of equal (owner, version); everything
+  // else in the allocation is a clean replica that can simply be dropped.
   auto dirty_pieces = [&](StoreId sid, const Alloc& a) {
     std::vector<std::pair<Interval, std::uint64_t>> out;
-    auto& ss = sync(sid);
-    a.held.for_each_in(a.extent, [&](Interval iv, std::uint64_t v) {
-      ss.owner.for_each_in(iv, [&](Interval p, int m) {
-        if (m != mem) return;
-        ss.version.for_each_in(p, [&](Interval q, std::uint64_t cur) {
-          if (cur == v) out.emplace_back(q, v);
-        });
+    const auto& written = sync(sid).written();
+    auto owner_version = [](const Written& w) { return std::pair{w.owner, w.version}; };
+    a.held().for_each_run(a.extent, &Held::version, [&](Interval iv, std::uint64_t v) {
+      written.for_each_run(iv, owner_version, [&](Interval q, auto ov) {
+        if (ov == std::pair{mem, v}) out.emplace_back(q, v);
       });
     });
     return out;
@@ -782,34 +764,20 @@ bool Runtime::evict_lru(int mem, StoreId requesting) {
     // Spill sole copies to the node's system memory with a charged copy;
     // ownership follows so later readers fetch from there.
     int dst = sysmem_of_node(machine_.memory(mem).node);
-    auto& dvec = mem_state_[dst]->allocs[victim_sid];
-    Alloc* target = nullptr;
-    for (auto& a : dvec) {
-      if (a.extent.contains(victim.extent)) {
-        target = &a;
-        break;
-      }
-    }
+    Alloc* target = find_alloc(victim_sid, victim.extent, dst);
     if (target == nullptr) {
       engine_->alloc_bytes(dst,
                            static_cast<double>(victim.extent.size()) * victim.esize);
-      dvec.push_back(Alloc{victim.extent, {}, {}, victim.last_use, victim.esize});
-      target = &dvec.back();
+      target = &mem_state_[dst]->allocs[victim_sid].emplace_back(victim.extent,
+                                                                  victim.last_use, victim.esize);
     }
-    auto& ss = sync(victim_sid);
     for (auto& [piece, v] : dirty) {
-      double src_ready = 0;
-      victim.ready.for_each_in(
-          piece, [&](Interval, double t) { src_ready = std::max(src_ready, t); });
-      double done = engine_->copy(
-          mem, dst, static_cast<double>(piece.size()) * victim.esize, src_ready);
-      target->held.assign(piece, v);
-      target->ready.assign(piece, done);
-      ss.owner.assign(piece, dst);
+      double done = engine_->copy(mem, dst,
+                                  static_cast<double>(piece.size()) * victim.esize,
+                                  latest(victim.held(), piece, 0.0));
+      target->hold(piece, v, done);
       // The spill copy joins the dependence chain for this data.
-      ss.last_write.update(piece, [&](Interval, std::optional<double> prev) {
-        return std::max(prev.value_or(0.0), done);
-      });
+      sync(victim_sid).relocate(piece, dst, done);
     }
   }
   engine_->free_bytes(mem, static_cast<double>(victim.extent.size()) * victim.esize);
@@ -840,13 +808,13 @@ void Runtime::handle_node_loss(int node) {
   const Interval kAll{0, std::numeric_limits<coord_t>::max()};
   for (auto& [sid, ss] : sync_) {
     std::vector<Interval> lost;
-    ss->owner.for_each_in(kAll, [&](Interval iv, int m) {
-      if (machine_.memory(m).node == node) lost.push_back(iv);
+    ss->written().for_each_in(kAll, [&](Interval iv, const Written& w) {
+      if (machine_.memory(w.owner).node == node) lost.push_back(iv);
     });
     if (lost.empty()) continue;
     poisoned_stores_.insert(sid);
     diag_note_poison(sid, "node-loss", /*allow_dump=*/false);
-    for (Interval iv : lost) ss->owner.assign(iv, machine_.home_memory());
+    for (Interval iv : lost) ss->relocate(iv, machine_.home_memory(), 0.0);
   }
   // Loss detection + replacement admission stall the whole machine.
   engine_->stall_all(engine_->makespan(), opts_.faults.node_recovery_seconds);
@@ -1038,10 +1006,8 @@ Checkpoint Runtime::checkpoint(const std::vector<Store>& stores) {
   double ready = engine_->control_advance(task_overhead_, "checkpoint");
   double bytes = 0;
   for (const Store& s : stores) {
-    auto& ss = sync(s.id());
     // The snapshot is consistent: it waits for every in-flight writer.
-    ss.last_write.for_each_in(
-        s.extent(), [&](Interval, double t) { ready = std::max(ready, t); });
+    ready = latest(sync(s.id()).written(), s.extent(), ready);
     auto raw = s.raw();
     ck.entries_.push_back({s, std::vector<std::byte>(raw.begin(), raw.end())});
     bytes += static_cast<double>(raw.size());
@@ -1065,15 +1031,10 @@ double Runtime::restore(const Checkpoint& ckpt) {
     std::memcpy(raw.data(), e.data.data(), e.data.size());
     auto& ss = sync(e.store.id());
     Interval ext = e.store.extent();
-    ++ss.version_counter;
-    ++ss.epoch;
-    ss.version.assign(ext, ss.version_counter);
-    ss.owner.assign(ext, machine_.home_memory());
-    ss.last_write.assign(ext, done);
+    ss.begin_write();
     ss.readers.clear();
-    Alloc& a = find_or_create_alloc(e.store.view(), ext, machine_.home_memory());
-    a.held.assign(ext, ss.version_counter);
-    a.ready.assign(ext, done);
+    const int home = machine_.home_memory();
+    ss.write(ext, home, done, find_or_create_alloc(e.store.view(), ext, home));
     poisoned_stores_.erase(e.store.id());
     // The rewrite re-baselines the checksums and retires any outstanding
     // corruption: the snapshot bytes are clean by construction (verified on
@@ -1095,9 +1056,7 @@ double Runtime::shuffle(const Store& in, const Store& out,
   pinned_.insert(out.id());
 
   auto& sin = sync(in.id());
-  double src_ready = t_launch;
-  sin.last_write.for_each_in(in.extent(),
-                             [&](Interval, double t) { src_ready = std::max(src_ready, t); });
+  const double src_ready = latest(sin.written(), in.extent(), t_launch);
 
   body();  // real data movement on canonical buffers
 
@@ -1186,8 +1145,7 @@ double Runtime::shuffle(const Store& in, const Store& out,
   // Each destination runs a local repack kernel and then owns its block.
   auto part = Partition::equal(out.basis(), P);
   auto& sout = sync(out.id());
-  ++sout.version_counter;
-  ++sout.epoch;
+  sout.begin_write();
   double max_done = t_launch;
   for (int d = 0; d < P; ++d) {
     Interval iv = part->sub(d);
@@ -1201,12 +1159,7 @@ double Runtime::shuffle(const Store& in, const Store& out,
                      "shuffle_repack")
             .first;
     const int mem = machine_.proc(d).mem;
-    sout.version.assign(elem, sout.version_counter);
-    sout.owner.assign(elem, mem);
-    sout.last_write.assign(elem, done);
-    Alloc& alloc = find_or_create_alloc(out.view(), elem, mem);
-    alloc.held.assign(elem, sout.version_counter);
-    alloc.ready.assign(elem, done);
+    sout.write(elem, mem, done, find_or_create_alloc(out.view(), elem, mem));
     max_done = std::max(max_done, done);
   }
   sout.key_uid = part->uid();
@@ -1461,7 +1414,7 @@ std::vector<double> Runtime::analyze(const LaunchRecord& R, double t_launch) {
       const Interval elem = R.elem(c, i);
       if (elem.empty()) continue;
       auto& ss = sync(a.view.id);
-      ss.last_write.for_each_in(elem, [&](Interval, double w) { t = std::max(t, w); });
+      t = latest(ss.written(), elem, t);
       if (a.priv == Priv::Read) continue;
       for (auto& [riv, rt_] : ss.readers) {
         if (riv.overlaps(elem)) t = std::max(t, rt_);
@@ -1585,20 +1538,14 @@ void Runtime::publish(const LaunchRecord& R, const detail::Mapped& m,
     const auto& a = R.args[static_cast<std::size_t>(i)];
     if (a.priv == Priv::Read || a.priv == Priv::Reduce) continue;  // below / reduce_stores
     auto& ss = sync(a.view.id);
-    ++ss.version_counter;
-    ++ss.epoch;
+    ss.begin_write();
     for (int c = 0; c < R.colors; ++c) {
       const Interval elem = R.elem(c, i);
       if (elem.empty()) continue;
       const int mem = m.point_mem[static_cast<std::size_t>(c)];
-      const double done = m.completion[static_cast<std::size_t>(c)];
-      ss.version.assign(elem, ss.version_counter);
-      ss.owner.assign(elem, mem);
-      ss.last_write.assign(elem, done);
       // The writer's allocation now holds the fresh data.
-      Alloc& alloc = find_or_create_alloc(a.view, elem, mem);
-      alloc.held.assign(elem, ss.version_counter);
-      alloc.ready.assign(elem, done);
+      ss.write(elem, mem, m.completion[static_cast<std::size_t>(c)],
+               find_or_create_alloc(a.view, elem, mem));
     }
     // Writes clear the reader set they superseded.
     std::erase_if(ss.readers, [&](const std::pair<Interval, double>& r) {
@@ -1657,22 +1604,15 @@ double Runtime::reduce_stores(const LaunchRecord& R, double max_completion,
     double bytes = static_cast<double>(a.view.volume) * sizeof(double);
     double t_red = engine_->allreduce_bytes(R.colors, bytes, max_completion, true);
     auto& ss = sync(a.view.id);
-    ++ss.version_counter;
-    ++ss.epoch;
-    ss.version.assign(a.view.extent(), ss.version_counter);
-    ss.last_write.assign(a.view.extent(), t_red);
+    ss.begin_write();
     ss.readers.clear();
-    // After the all-reduce every participating memory holds the result.
-    bool first = true;
+    // After the all-reduce every participating memory holds the result and the
+    // first owns it. Allocating in one memory never moves another's allocs.
+    std::vector<Alloc*> holders;
     for (const auto& proc : machine_.procs()) {
-      Alloc& alloc = find_or_create_alloc(a.view, a.view.extent(), proc.mem);
-      alloc.held.assign(a.view.extent(), ss.version_counter);
-      alloc.ready.assign(a.view.extent(), t_red);
-      if (first) {
-        ss.owner.assign(a.view.extent(), proc.mem);
-        first = false;
-      }
+      holders.push_back(&find_or_create_alloc(a.view, a.view.extent(), proc.mem));
     }
+    ss.write(a.view.extent(), machine_.procs().front().mem, t_red, holders);
     // Reductions rewrite the whole store: poison follows the launch state.
     if (poisoned) {
       poisoned_stores_.insert(a.view.id);

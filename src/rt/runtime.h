@@ -520,6 +520,8 @@ class Runtime {
   /// staleness copies to the touched subset of `elem` (precise images).
   double ensure_in_memory(const detail::StoreView& store, Interval elem, int mem,
                           bool discard, const IntervalSet* precise = nullptr);
+  /// First allocation of `id` in `mem` containing `elem`, or null (no LRU touch).
+  [[nodiscard]] Alloc* find_alloc(StoreId id, Interval elem, int mem) const;
   Alloc& find_or_create_alloc(const detail::StoreView& store, Interval elem, int mem);
   SyncState& sync(StoreId id);
 
@@ -603,9 +605,8 @@ class Runtime {
   std::vector<double> comm_gate(const detail::LaunchRecord& R, const std::vector<int>& keyed,
                                 const std::vector<int>& point_mem,
                                 const std::vector<double>& local_ready);
-  /// The allocation staging gave `id` in `mem` covering `elem` (checked:
-  /// staging pins every argument). Unlike find_or_create_alloc this never
-  /// allocates, touches LRU state, or bumps metrics.
+  /// The allocation staging gave `id` in `mem` covering `elem`: find_alloc,
+  /// checked (staging pins every argument).
   [[nodiscard]] Alloc& staged_alloc(StoreId id, Interval elem, int mem) const;
   /// Drop cached exchange plans touching `id` (store mutation/destruction/
   /// shuffle/restore) and bump the invalidation counter. No-op when the

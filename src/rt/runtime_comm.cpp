@@ -18,12 +18,8 @@ namespace legate::rt {
 using detail::LaunchRecord;
 
 Runtime::Alloc& Runtime::staged_alloc(StoreId id, Interval elem, int mem) const {
-  auto& allocs = mem_state_[static_cast<std::size_t>(mem)]->allocs;
-  auto it = allocs.find(id);
-  LSR_CHECK_MSG(it != allocs.end(), "comm planner: store has no staged allocation");
-  auto a = std::find_if(it->second.begin(), it->second.end(),
-                        [&](const Alloc& x) { return x.extent.contains(elem); });
-  LSR_CHECK_MSG(a != it->second.end(), "comm planner: piece has no staged allocation");
+  Alloc* a = find_alloc(id, elem, mem);
+  LSR_CHECK_MSG(a != nullptr, "comm planner: piece has no staged allocation");
   return *a;
 }
 
@@ -133,8 +129,8 @@ std::uint64_t Runtime::comm_signature(const LaunchRecord& R, const std::vector<i
   for (int i : keyed) {
     const auto& a = R.args[static_cast<std::size_t>(i)];
     auto& ss = sync(a.view.id);
-    auto mix_runs = [&](const IntervalMap<std::uint64_t>& runs, Interval r) {
-      runs.for_each_in(r, [&](Interval iv, std::uint64_t v) {
+    auto mix_runs = [&](const auto& runs, auto version, Interval r) {
+      runs.for_each_run(r, version, [&](Interval iv, std::uint64_t v) {
         sh.mix_i(iv.lo);
         sh.mix_i(iv.hi);
         sh.mix(ss.version_counter - v);
@@ -146,8 +142,8 @@ std::uint64_t Runtime::comm_signature(const LaunchRecord& R, const std::vector<i
       });
     };
     const Interval whole = a.view.extent();
-    mix_runs(ss.version, whole);
-    ss.owner.for_each_in(whole, [&](Interval iv, int m) {
+    mix_runs(ss.written(), &Written::version, whole);
+    ss.written().for_each_run(whole, &Written::owner, [&](Interval iv, int m) {
       sh.mix_i(iv.lo);
       sh.mix_i(iv.hi);
       sh.mix(static_cast<std::uint64_t>(m));
@@ -160,12 +156,8 @@ std::uint64_t Runtime::comm_signature(const LaunchRecord& R, const std::vector<i
           staged_alloc(a.view.id, elem, point_mem[static_cast<std::size_t>(c)]);
       sh.mix_i(al.extent.lo);
       sh.mix_i(al.extent.hi);
-      auto scan = [&](Interval r) { mix_runs(al.held, r); };
-      if (const IntervalSet* pr = R.precise(c, i)) {
-        pr->for_each(elem, scan);
-      } else {
-        scan(elem);
-      }
+      for_each_touched(elem, R.precise(c, i),
+                       [&](Interval r) { mix_runs(al.held(), &Held::version, r); });
     }
   }
   return sh.digest();
@@ -203,15 +195,15 @@ comm::ExchangePlan Runtime::comm_derive(const LaunchRecord& R, const std::vector
           });
           ov.for_each_gap(want, [&](Interval p) { need.push_back(p); });
           for (Interval piece : need) {
-            for (auto& [p, src_mem] : owner_runs(ss.owner, piece, machine_.home_memory())) {
+            ss.written().for_each_run(piece, &Written::owner, [&](Interval p, int src_mem) {
               fresh.ghosts.push_back(comm::Ghost{
                   p, ord, src_mem, mem, c, static_cast<double>(p.size()) * esize});
-            }
+            });
             ov.assign(piece, v);
           }
         }
       };
-      for_each_stale(ss.version, al.held, elem, R.precise(c, i), plan_stale);
+      for_each_stale(ss.written(), al.held(), elem, R.precise(c, i), plan_stale);
     }
   }
   std::vector<int> mem_node(machine_.memories().size());
@@ -261,9 +253,7 @@ void Runtime::comm_apply(const LaunchRecord& R, const std::vector<int>& keyed,
     double src_ready = 0;
     for (std::uint32_t gi : t.ghosts) {
       const auto& g = plan.ghosts[static_cast<std::size_t>(gi)];
-      sync(store_of(g)).last_write.for_each_in(g.piece, [&](Interval, double w) {
-        src_ready = std::max(src_ready, w);
-      });
+      src_ready = latest(sync(store_of(g)).written(), g.piece, src_ready);
     }
     const int sn = machine_.memory(t.src_mem).node;
     const int dn = machine_.memory(t.dst_mem).node;
@@ -281,11 +271,9 @@ void Runtime::comm_apply(const LaunchRecord& R, const std::vector<int>& keyed,
     for (std::uint32_t gi : t.ghosts) {
       const auto& g = plan.ghosts[static_cast<std::size_t>(gi)];
       const StoreId sid = store_of(g);
-      auto& ss = sync(sid);
       Alloc& al = staged_alloc(sid, g.piece, g.dst_mem);
-      ss.version.for_each_in(g.piece,
-                             [&](Interval iv, std::uint64_t v) { al.held.assign(iv, v); });
-      al.ready.assign(g.piece, done);
+      sync(sid).written().for_each_run(
+          g.piece, &Written::version, [&](Interval iv, std::uint64_t v) { al.hold(iv, v, done); });
     }
     if (t.src_mem == t.dst_mem) {
       bytes_intra += t.bytes;
@@ -307,10 +295,10 @@ void Runtime::comm_apply(const LaunchRecord& R, const std::vector<int>& keyed,
   if (bytes_ib > 0) met_.comm_bytes_ib.inc(bytes_ib * scale);
 }
 
-// Gate: post-exchange data readiness per point. Walks the required
-// (written) pieces' arrival times, exactly like the per-piece path's final
-// gate: this also picks up ghosts delivered to a shared-memory neighbor's
-// instance by an earlier transfer.
+// Gate: post-exchange data readiness per point. Walks the required pieces'
+// arrival times (held data is always written data), exactly like the
+// per-piece path's final gate: this also picks up ghosts delivered to a
+// shared-memory neighbor's instance by an earlier transfer.
 std::vector<double> Runtime::comm_gate(const LaunchRecord& R, const std::vector<int>& keyed,
                                        const std::vector<int>& point_mem,
                                        const std::vector<double>& local_ready) {
@@ -322,21 +310,9 @@ std::vector<double> Runtime::comm_gate(const LaunchRecord& R, const std::vector<
       const auto& a = R.args[static_cast<std::size_t>(i)];
       Interval elem = R.elem(c, i);
       if (elem.empty()) continue;
-      auto& ss = sync(a.view.id);
       const Alloc& al = staged_alloc(a.view.id, elem, point_mem[cc]);
-      auto arrived = [&](Interval range) {
-        ss.version.for_each_in(range, [&](Interval iv, std::uint64_t v) {
-          if (v == 0) return;
-          al.ready.for_each_in(iv, [&](Interval, double t) {
-            gate[cc] = std::max(gate[cc], t);
-          });
-        });
-      };
-      if (const IntervalSet* pr = R.precise(c, i)) {
-        pr->for_each(elem, arrived);
-      } else {
-        arrived(elem);
-      }
+      for_each_touched(elem, R.precise(c, i),
+                       [&](Interval r) { gate[cc] = latest(al.held(), r, gate[cc]); });
     }
   }
   return gate;

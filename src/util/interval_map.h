@@ -4,6 +4,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -13,10 +14,10 @@ namespace legate {
 
 /// Ordered map from disjoint half-open intervals to values.
 ///
-/// This is the workhorse data structure of the runtime: per-store version
-/// maps, last-writer dependence records, allocation validity, and ownership
-/// maps are all IntervalMaps. Adjacent segments with equal values are merged
-/// when V is equality-comparable.
+/// This is the workhorse data structure of the runtime: each store's
+/// validity record and each allocation's held data are IntervalMaps of a
+/// small struct (rt/runtime_state.h). Adjacent segments with equal values
+/// are merged when V is equality-comparable.
 ///
 /// Invariants: segments are disjoint, non-empty, sorted by lo.
 template <typename V>
@@ -72,6 +73,25 @@ class IntervalMap {
       Interval clipped = seg.intersect(range);
       if (!clipped.empty()) fn(clipped, it->second.value);
     }
+  }
+
+  /// Visit the runs of `range` projected onto one field by `proj` (a member
+  /// pointer or callable), joining touching segments with equal projections:
+  /// exactly for_each_in on an IntervalMap of proj(value) alone, whose gaps
+  /// are this map's own.
+  template <typename Proj, typename F>
+  void for_each_run(Interval range, Proj proj, F&& fn) const {
+    std::optional<std::pair<Interval, std::decay_t<std::invoke_result_t<Proj, const V&>>>> run;
+    for_each_in(range, [&](Interval iv, const V& v) {
+      auto p = std::invoke(proj, v);
+      if (run && run->first.hi == iv.lo && run->second == p) {
+        run->first.hi = iv.hi;
+        return;
+      }
+      if (run) fn(run->first, run->second);
+      run.emplace(iv, p);
+    });
+    if (run) fn(run->first, run->second);
   }
 
   /// Visit every maximal sub-interval of `range` NOT covered by any segment.

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -140,6 +143,104 @@ TEST_P(IntervalMapProperty, MatchesNaiveModel) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, IntervalMapProperty,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
+
+TEST(IntervalMap, ForEachRunJoinsEqualProjections) {
+  IntervalMap<std::pair<int, int>> m;
+  m.assign({0, 4}, {1, 10});
+  m.assign({4, 8}, {1, 20});   // touches, same first field
+  m.assign({10, 12}, {1, 30});  // same first field, across a gap
+  std::vector<std::pair<Interval, int>> runs;
+  m.for_each_run({2, 12}, &std::pair<int, int>::first,
+                 [&](Interval iv, int v) { runs.emplace_back(iv, v); });
+  ASSERT_EQ(runs.size(), 2u);
+  EXPECT_EQ(runs[0], (std::pair<Interval, int>{{2, 8}, 1}));
+  EXPECT_EQ(runs[1], (std::pair<Interval, int>{{10, 12}, 1}));
+}
+
+// The runtime keeps one map of a small struct where it once kept one map per
+// field over the same writes. Differential check: random assign / update /
+// erase sequences over a merged map and over the separate per-field maps;
+// after every step each projected walk (for_each_run) must yield exactly the
+// separate map's runs, and the gaps must agree. The value domains are tiny so
+// touching runs often agree in one field and differ in another.
+struct Rec {
+  std::uint64_t version;
+  int owner;
+  double t;
+  bool operator==(const Rec&) const = default;
+};
+
+template <typename P, typename Proj>
+void expect_projection(const IntervalMap<Rec>& merged, Proj proj, const IntervalMap<P>& field,
+                       Interval range) {
+  std::vector<std::pair<Interval, P>> runs;
+  merged.for_each_run(range, proj, [&](Interval iv, const P& p) { runs.emplace_back(iv, p); });
+  EXPECT_EQ(runs, field.snapshot(range));
+  std::vector<Interval> got, want;
+  merged.for_each_gap(range, [&](Interval iv) { got.push_back(iv); });
+  field.for_each_gap(range, [&](Interval iv) { want.push_back(iv); });
+  EXPECT_EQ(got, want);
+}
+
+class MergedMapDifferential : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(MergedMapDifferential, ProjectionsMatchSeparateMaps) {
+  constexpr coord_t kDomain = 120;
+  Rng rng(GetParam());
+  IntervalMap<Rec> merged;
+  IntervalMap<std::uint64_t> version;
+  IntervalMap<int> owner;
+  IntervalMap<double> t;
+  for (int step = 0; step < 400; ++step) {
+    coord_t a = rng.next_coord(0, kDomain);
+    coord_t b = rng.next_coord(0, kDomain + 1);
+    if (a > b) std::swap(a, b);
+    const Interval iv{a, b};
+    const Rec r{1 + rng.next_below(3), static_cast<int>(rng.next_below(2)),
+                0.5 * static_cast<double>(1 + rng.next_below(2))};
+    const std::uint64_t op = rng.next_below(8);
+    if (op < 5) {
+      merged.assign(iv, r);
+      version.assign(iv, r.version);
+      owner.assign(iv, r.owner);
+      t.assign(iv, r.t);
+    } else if (op < 7) {
+      // Relocation-style read-modify-write: keep the version, move the
+      // owner, take the later time; gaps get fresh values.
+      merged.update(iv, [&](Interval, std::optional<Rec> prev) {
+        return prev ? Rec{prev->version, r.owner, std::max(prev->t, r.t)} : r;
+      });
+      version.update(iv, [&](Interval, std::optional<std::uint64_t> prev) {
+        return prev.value_or(r.version);
+      });
+      owner.update(iv, [&](Interval, std::optional<int>) { return r.owner; });
+      t.update(iv, [&](Interval, std::optional<double> prev) {
+        return prev ? std::max(*prev, r.t) : r.t;
+      });
+    } else {
+      merged.erase(iv);
+      version.erase(iv);
+      owner.erase(iv);
+      t.erase(iv);
+    }
+    coord_t lo = rng.next_coord(0, kDomain);
+    coord_t hi = rng.next_coord(0, kDomain + 1);
+    if (lo > hi) std::swap(lo, hi);
+    for (Interval range : {Interval{0, kDomain}, Interval{lo, hi}}) {
+      expect_projection(merged, &Rec::version, version, range);
+      expect_projection(merged, &Rec::owner, owner, range);
+      expect_projection(merged, &Rec::t, t, range);
+    }
+    ASSERT_FALSE(HasFailure()) << "diverged at step " << step;
+  }
+  // The merged map is the common refinement: never fewer segments.
+  EXPECT_GE(merged.segment_count(), version.segment_count());
+  EXPECT_GE(merged.segment_count(), owner.segment_count());
+  EXPECT_GE(merged.segment_count(), t.segment_count());
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, MergedMapDifferential,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
 
 TEST(IntervalSet, Arithmetic) {
