@@ -37,6 +37,7 @@ void power_iteration_ablation(benchmark::State& state, bool coalescing,
     x.iscale({1.0 / n.value, n.ready});
   }
   lsr_bench::profile_begin(runtime.engine(), point);
+  auto mbase = lsr_bench::metrics_begin(runtime, point);
   double t0 = runtime.sim_time();
   auto st0 = runtime.engine().stats();
   constexpr int kIters = 10;
@@ -46,6 +47,7 @@ void power_iteration_ablation(benchmark::State& state, bool coalescing,
     x.iscale({1.0 / n.value, n.ready});
   }
   double sec = (runtime.sim_time() - t0) / kIters;
+  lsr_bench::metrics_end(runtime, point, mbase, sec);
   lsr_bench::profile_end(runtime.engine(), point);
   for (auto _ : state) state.SetIterationTime(sec);
   const auto& st = runtime.engine().stats();
@@ -71,10 +73,12 @@ void partition_reuse_ablation(benchmark::State& state, bool reuse,
   a.iadd(b);  // warmup
   long parts0 = runtime.partitions_created();
   lsr_bench::profile_begin(runtime.engine(), point);
+  auto mbase = lsr_bench::metrics_begin(runtime, point);
   double t0 = runtime.sim_time();
   constexpr int kIters = 50;
   for (int i = 0; i < kIters; ++i) a.iadd(b);
   double sec = (runtime.sim_time() - t0) / kIters;
+  lsr_bench::metrics_end(runtime, point, mbase, sec);
   lsr_bench::profile_end(runtime.engine(), point);
   for (auto _ : state) state.SetIterationTime(sec);
   state.counters["iters_per_s"] = 1.0 / sec;
@@ -97,6 +101,7 @@ void reshape_ablation(benchmark::State& state, bool reshape,
   auto x = dense::DArray::full(runtime, prob.rows, 1.0);
   auto warm = A.spmv(x);
   lsr_bench::profile_begin(runtime.engine(), point);
+  auto mbase = lsr_bench::metrics_begin(runtime, point);
   double t0 = runtime.sim_time();
   constexpr int kIters = 10;
   for (int i = 0; i < kIters; ++i) {
@@ -104,6 +109,7 @@ void reshape_ablation(benchmark::State& state, bool reshape,
     benchmark::DoNotOptimize(y.size());
   }
   double sec = (runtime.sim_time() - t0) / kIters;
+  lsr_bench::metrics_end(runtime, point, mbase, sec);
   lsr_bench::profile_end(runtime.engine(), point);
   for (auto _ : state) state.SetIterationTime(sec);
   state.counters["iters_per_s"] = 1.0 / sec;
@@ -128,11 +134,13 @@ void allreduce_ablation(benchmark::State& state, bool legion_style,
   auto b = dense::DArray::full(runtime, prob.rows, 1.0);
   auto warm = solve::cg(A, b, 0.0, 2);
   lsr_bench::profile_begin(runtime.engine(), point);
+  auto mbase = lsr_bench::metrics_begin(runtime, point);
   double t0 = runtime.sim_time();
   constexpr int kIters = 10;
   auto res = solve::cg(A, b, 0.0, kIters);
   benchmark::DoNotOptimize(res.residual);
   double sec = (runtime.sim_time() - t0) / kIters;
+  lsr_bench::metrics_end(runtime, point, mbase, sec);
   lsr_bench::profile_end(runtime.engine(), point);
   for (auto _ : state) state.SetIterationTime(sec);
   state.counters["iters_per_s"] = 1.0 / sec;

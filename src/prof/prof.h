@@ -14,8 +14,8 @@
 namespace legate::prof {
 
 /// What a timeline event represents; maps 1:1 onto the critical-path
-/// attribution buckets (kernel / copy / launch-overhead / allreduce / stall)
-/// plus the instant markers (see CategoryInfo::marker).
+/// attribution buckets (kernel / copy / launch-overhead / allreduce / stall /
+/// checkpoint / recovery) plus the instant markers (see CategoryInfo::marker).
 enum class Category {
   Kernel,     ///< a point-task execution on a processor
   Copy,       ///< data movement between (or within) memories
@@ -23,6 +23,7 @@ enum class Category {
   Launch,     ///< control-lane time (op dispatch, dependence analysis)
   Stall,      ///< whole-machine outage (node-loss detection/admission)
   Checkpoint, ///< checkpoint write / restore read on the PFS channel
+  Recovery,   ///< a failed point's detection latency and retry backoff
   Fault,      ///< marker: a fault was injected (transient or node loss)
   Retry,      ///< marker: a point task re-execution was scheduled
   Spill,      ///< marker: an allocation was evicted under OOM
@@ -45,10 +46,10 @@ inline constexpr CategoryInfo kCategoryInfo[] = {
     {"kernel", false},           {"copy", false},
     {"allreduce", false},        {"launch-overhead", false},
     {"stall", false},            {"checkpoint", false},
-    {"fault", true},             {"retry", true},
-    {"spill", true},             {"metrics-snapshot", true},
-    {"integrity", true},         {"fused", true},
-    {"comm", true},
+    {"recovery", false},         {"fault", true},
+    {"retry", true},             {"spill", true},
+    {"metrics-snapshot", true},  {"integrity", true},
+    {"fused", true},             {"comm", true},
 };
 static_assert(std::size(kCategoryInfo) ==
               static_cast<std::size_t>(Category::Comm) + 1);

@@ -376,17 +376,25 @@ Store Runtime::create_store(DType dtype, std::vector<coord_t> shape,
 
 void Runtime::mark_attached(const Store& s) {
   fence();  // attachment observes and republishes the canonical bytes
-  // Materialize the backing allocation in the home memory; it holds version 1.
+  // Materialize the backing allocation in the home memory. The attached host
+  // data predates the simulated run: it is valid there from t = 0.
   const int home = machine_.home_memory();
   double esize = static_cast<double>(dtype_size(s.dtype()));
   alloc_with_spill(home, static_cast<double>(s.volume()) * esize, s.id());
-  Alloc& a = mem_state_[home]->allocs[s.id()].emplace_back(s.extent(), ++use_tick_, esize);
+  write_external(s, 0.0,
+                 mem_state_[home]->allocs[s.id()].emplace_back(s.extent(), ++use_tick_, esize));
+}
+
+void Runtime::write_external(const Store& s, double t, Alloc& home) {
   auto& ss = sync(s.id());
-  ss.version_counter = 1;
-  ss.write(s.extent(), home, 0.0, a);
-  // The attach wrote the canonical bytes externally: refresh the checksums.
-  auto v = s.view();
-  integrity_record(s.id(), v.raw().data(), v.raw().size(), 0, v.raw().size());
+  ++ss.issued;  // the stream is drained: issued and replayed at once
+  ss.begin_write();
+  ss.readers.clear();
+  ss.write(s.extent(), machine_.home_memory(), t, home);
+  poisoned_stores_.erase(s.id());
+  // The canonical bytes were written externally: refresh the checksums.
+  auto raw = s.view().raw();
+  integrity_record(s.id(), raw.data(), raw.size(), 0, raw.size());
   comm_invalidate(s.id());
 }
 
@@ -401,34 +409,30 @@ void Runtime::on_store_destroyed(detail::StoreImpl* impl) {
     met_.flips_overwritten.inc(static_cast<double>(it->second.size()));
     outstanding_flips_.erase(it);
   }
-  if (fuse_window_.empty()) {
-    // The id is unreachable from future launches; retire its issue-time state.
-    // (Pending nodes stay alive through the pool queue and their records.)
-    // With an open fusion window the retirement must wait: window members
-    // referencing this store are not enqueued yet, and erasing the hazard
-    // entry now would sever the writer edge their enqueue still has to see.
-    retire_eager_state(id);
-  }
   double esize = static_cast<double>(dtype_size(impl->dtype));
   if (!fuse_window_.empty()) {
-    // An open fusion window may still read this store's view; defer the
-    // release accounting (and the eager-state retirement above) to the
+    // An open fusion window may still read this store's view, and its members
+    // are not enqueued yet: erasing the hazard entry now would sever the
+    // writer edge their enqueue still has to see. Defer the retirement to the
     // window's stream position (flush).
     fuse_pending_release_.emplace_back(id, esize);
-  } else if (!sim_queue_.empty()) {
+  } else {
+    retire_store(id, esize);
+  }
+}
+
+void Runtime::retire_store(StoreId id, double esize) {
+  // The id is unreachable from future launches. (Pending nodes stay alive
+  // through the pool queue and their records.)
+  hazards_.erase(id);
+  if (sim_queue_.empty()) {
+    release_store(id, esize);
+  } else {
     // Queued launches may still reference this store's sync state; release
     // at the store's position in the replayed stream so pool/coalescing/OOM
     // behavior is identical to sequential execution.
     sim_queue_.push_back([this, id, esize] { release_store(id, esize); });
-  } else {
-    release_store(id, esize);
   }
-}
-
-void Runtime::retire_eager_state(StoreId id) {
-  hazards_.erase(id);
-  eager_epoch_.erase(id);
-  erase_source(eager_images_, id);
 }
 
 void Runtime::release_store(StoreId id, double esize) {
@@ -446,9 +450,10 @@ void Runtime::release_store(StoreId id, double esize) {
     mem_state_[mem]->allocs.erase(it);
   }
   sync_.erase(id);
-  // Store ids are never reused, so the dead source's image accounting can
-  // never hit again.
-  erase_source(image_cache_, id);
+  // Store ids are never reused, so the dead source's image memo can never
+  // hit again.
+  auto dead = image_range(id);
+  images_.erase(dead.begin(), dead.end());
   // Plans referencing the dead id must not survive: runs at the store's
   // stream position in both sequential and pipelined modes, so the hit/miss/
   // invalidation sequence is deterministic.
@@ -557,9 +562,12 @@ PartitionRef build_image_partition(const StoreView& src, const Partition& src_pa
 }  // namespace detail
 
 std::uint64_t Runtime::image_identity(StoreId src, std::uint64_t src_part,
-                                      ConstraintKind kind) {
-  auto [it, miss] =
-      image_cache_.try_emplace(ImageKey{src, src_part, kind, sync(src).epoch}, 0);
+                                      ConstraintKind kind, std::uint64_t seq) {
+  // The solve counted the source's writes at issue, the replay here: a write
+  // only one side saw shows up as a mismatch, pipelined or fused.
+  LSR_CHECK_MSG(seq == sync(src).version_counter,
+                "image source's write sequence differs between solve and replay");
+  auto [it, miss] = images_[{src, kind, seq}].accounted.try_emplace(src_part, 0);
   if (!miss) {
     met_.image_hits.inc();
     return it->second;
@@ -1029,19 +1037,13 @@ double Runtime::restore(const Checkpoint& ckpt) {
     auto raw = e.store.raw();
     LSR_CHECK_MSG(raw.size() == e.data.size(), "restore into resized store");
     std::memcpy(raw.data(), e.data.data(), e.data.size());
-    auto& ss = sync(e.store.id());
-    Interval ext = e.store.extent();
-    ss.begin_write();
-    ss.readers.clear();
     const int home = machine_.home_memory();
-    ss.write(ext, home, done, find_or_create_alloc(e.store.view(), ext, home));
-    poisoned_stores_.erase(e.store.id());
-    // The rewrite re-baselines the checksums and retires any outstanding
+    write_external(e.store, done,
+                   find_or_create_alloc(e.store.view(), e.store.extent(), home));
+    // The rewrite re-baselined the checksums; it also retires any outstanding
     // corruption: the snapshot bytes are clean by construction (verified on
     // checkpoint, payload-checksummed on disk).
-    integrity_record(e.store.id(), raw.data(), raw.size(), 0, raw.size());
     outstanding_flips_.erase(e.store.id());
-    comm_invalidate(e.store.id());
   }
   return done;
 }
@@ -1145,6 +1147,7 @@ double Runtime::shuffle(const Store& in, const Store& out,
   // Each destination runs a local repack kernel and then owns its block.
   auto part = Partition::equal(out.basis(), P);
   auto& sout = sync(out.id());
+  ++sout.issued;  // the stream is drained: issued and replayed at once
   sout.begin_write();
   double max_done = t_launch;
   for (int d = 0; d < P; ++d) {
@@ -1336,7 +1339,8 @@ std::vector<std::uint64_t> Runtime::account_partitions(const LaunchRecord& R) {
         ident[static_cast<std::size_t>(i)] =
             a.ckind == ConstraintKind::Halo
                 ? fresh()
-                : image_identity(R.args[a.image_src].view.id, src, a.ckind);
+                : image_identity(R.args[a.image_src].view.id, src, a.ckind,
+                                 R.src_seq[static_cast<std::size_t>(i)]);
       }
     }
   }
@@ -1361,11 +1365,10 @@ bool Runtime::pin_launch(const LaunchRecord& R) {
 // work-spread gauges over the leaf-recorded per-point costs.
 void Runtime::run_leaves_inline(LaunchRecord& R, bool deferred) {
   if (!deferred) {
-    // The leaves below rewrite what this launch writes: memoized images of
-    // those stores are stale from here on (the pipelined path bumps at
-    // enqueue).
+    // The leaves below rewrite what this launch writes: count the writes as
+    // issued (the pipelined path counts them at enqueue).
     for (const auto& a : R.args) {
-      if (a.priv != Priv::Read) ++eager_epoch_[a.view.id];
+      if (a.priv != Priv::Read) ++sync(a.view.id).issued;
     }
     // Run the leaf bodies for real (inline, or parallel-for on the pool).
     // Leaves touch no simulated state, so running them before the
@@ -1498,14 +1501,16 @@ std::pair<double, bool> Runtime::charge_point(const detail::PointKernel& k,
       while (injector_->should_fail(seq, attempt)) {
         engine_->emit(sim::Ev::Fault);
         const double wasted = duration * injector_->fail_fraction(seq, attempt);
-        const double detected =
-            engine_->busy_proc(k.proc, start, wasted, label) + fc.detect_seconds;
+        const double failed = engine_->busy_proc(k.proc, start, wasted, label);
+        const double detected = failed + fc.detect_seconds;
         if (++attempt >= fc.max_attempts) {
+          engine_->note_recovery(k.proc, failed, detected, label);
           engine_->bump_to(detected);
           return {detected, true};
         }
         engine_->emit(sim::Ev::Retry);
         start = detected + fc.backoff_seconds * std::pow(2.0, attempt - 1);
+        engine_->note_recovery(k.proc, failed, start, label);
       }
     }
   }

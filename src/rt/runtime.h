@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <ranges>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -372,12 +373,10 @@ class Runtime {
   [[nodiscard]] std::size_t pending_launches() const {
     return sim_queue_.size() + fuse_window_.size();
   }
-  /// Dependent-partition cache entries (test hook): the issue-time image
-  /// memo plus the replay's image accounting. Both drop a store's entries
-  /// once it is released, so the count tracks live sources only.
-  [[nodiscard]] std::size_t image_cache_entries() const {
-    return eager_images_.size() + image_cache_.size();
-  }
+  /// Image memo entries, one per (source, kind, write sequence) (test hook).
+  /// A store's entries are erased when it is released, so the count tracks
+  /// live sources only.
+  [[nodiscard]] std::size_t image_cache_entries() const { return images_.size(); }
   /// The pool recycling this runtime's canonical host buffers (test hook).
   [[nodiscard]] detail::HostBufferPool& host_buffers() { return *host_buffers_; }
 
@@ -498,8 +497,8 @@ class Runtime {
   Future execute(TaskLauncher& launcher);
   void on_store_destroyed(detail::StoreImpl* impl);
   void mark_attached(const Store& s);
-  /// Store::raw()/span() hook: fence, then invalidate eager image caches of
-  /// `id` (the returned span is mutable, so assume the bytes change).
+  /// Store::raw()/span() hook: fence, then drop the memoized image content
+  /// of `id` (the returned span is mutable, so assume the bytes change).
   void sync_store_access(StoreId id);
 
  private:
@@ -509,11 +508,14 @@ class Runtime {
 
   void register_metrics();  ///< constructor only
   /// Image accounting: identity of the dependent partition of `src` under
-  /// the partition identity `src_part`. A miss charges the dependent-
-  /// partitioning control time and counts a created partition; the content
-  /// itself comes from the issue-time solve.
+  /// the partition identity `src_part` at write sequence `seq`. A miss charges
+  /// the dependent-partitioning control time and counts a created partition;
+  /// the content itself comes from the solve.
   std::uint64_t image_identity(StoreId src, std::uint64_t src_part,
-                               ConstraintKind kind);
+                               ConstraintKind kind, std::uint64_t seq);
+  /// The one external write (attach, restore): `s` takes a fresh version,
+  /// valid from `t` in `home`, an allocation in the home memory.
+  void write_external(const Store& s, double t, Alloc& home);
   /// Ensure `elem` of `store` is materialized in memory `mem`; returns the
   /// simulated time at which the data is valid there. `discard` skips
   /// staleness copies (write-only outputs); `precise`, when given, restricts
@@ -618,13 +620,11 @@ class Runtime {
   /// Block until the last pending real writer of `id` finished (eager image
   /// computation reads real bytes mid-pipeline).
   void wait_store_writer(StoreId id);
-  /// Simulated release accounting for an out-of-scope store (deferred to
-  /// its stream position when the pipeline is non-empty).
+  /// Simulated release accounting for an out-of-scope store.
   void release_store(StoreId id, double esize);
-  /// Drop a dead store's hazard entry and issue-time memo state. Must not run
-  /// while an open fusion window still holds launches referencing the id:
-  /// their enqueue at flush resolves dependence edges through hazards_.
-  void retire_eager_state(StoreId id);
+  /// Drop a dead store's hazard entry and release it at its stream position.
+  /// Must not run while an open fusion window still references the id.
+  void retire_store(StoreId id, double esize);
 
   /// alloc_bytes with graceful OOM degradation: on capacity overflow, evict
   /// least-recently-used allocations (spilling dirty data to the node's
@@ -682,26 +682,25 @@ class Runtime {
   std::unordered_map<StoreId, std::unique_ptr<SyncState>> sync_;
   std::vector<std::unique_ptr<MemState>> mem_state_;  // per memory
 
+  /// The image memo (DESIGN.md §4), erased when the source is released. The
+  /// solve and the replay name the source partition by different uids, so
+  /// content and accounted identities are keyed apart.
   struct ImageKey {
     StoreId src;
-    std::uint64_t part;  ///< Partition::uid() — stable, never address-reused
     ConstraintKind kind;
-    std::uint64_t epoch;
-    bool operator<(const ImageKey& o) const {
-      return std::tie(src, part, kind, epoch) <
-             std::tie(o.src, o.part, o.kind, o.epoch);
-    }
+    std::uint64_t seq;  ///< the source's write sequence (SyncState)
+    auto operator<=>(const ImageKey&) const = default;
   };
-  /// Erase every entry of `cache` whose source is `id` (keys sort by source
-  /// first, so that is one contiguous range).
-  template <typename V>
-  static void erase_source(std::map<ImageKey, V>& cache, StoreId id) {
-    cache.erase(cache.lower_bound({id, 0, ConstraintKind::None, 0}),
-                cache.lower_bound({id + 1, 0, ConstraintKind::None, 0}));
+  struct ImageMemo {
+    std::map<std::uint64_t, PartitionRef> content;     ///< solve uid -> image
+    std::map<std::uint64_t, std::uint64_t> accounted;  ///< replay uid -> identity
+  };
+  std::map<ImageKey, ImageMemo> images_;
+  /// The memo entries sourced from `id` (keys sort by source first).
+  [[nodiscard]] auto image_range(StoreId id) {
+    return std::ranges::subrange(images_.lower_bound({id, ConstraintKind::None, 0}),
+                                 images_.lower_bound({id + 1, ConstraintKind::None, 0}));
   }
-  /// Replay image accounting: (source, source identity, kind, SyncState
-  /// epoch) -> identity of the image partition. Identities only, no content.
-  std::map<ImageKey, std::uint64_t> image_cache_;
 
   // -- execution backend state ----------------------------------------------
   std::unique_ptr<exec::Pool> pool_;  ///< null when exec_threads == 1
@@ -717,10 +716,6 @@ class Runtime {
     std::vector<exec::NodeRef> readers;  ///< readers since that writer
   };
   std::unordered_map<StoreId, Hazard> hazards_;
-  /// Bumped whenever a store's real bytes may change (writer issued,
-  /// external span access); keys the issue-time image memo.
-  std::unordered_map<StoreId, std::uint64_t> eager_epoch_;
-  std::map<ImageKey, PartitionRef> eager_images_;  ///< image content memo
   std::map<std::pair<coord_t, int>, PartitionRef> eager_equal_;  ///< (basis, colors)
   std::map<std::pair<coord_t, int>, PartitionRef> eager_whole_;  ///< broadcast/reduce
 

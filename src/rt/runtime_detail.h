@@ -56,6 +56,9 @@ struct LaunchRecord {
   // the replay's staging and accounting (which adds identities, not content).
   int colors{1};
   std::vector<PartitionRef> eager_parts;   ///< per arg; empty until solved
+  /// Per image arg: its source's write sequence at the solve (keys the image
+  /// memo for the solve and the replay alike).
+  std::vector<std::uint64_t> src_seq;
   std::vector<std::vector<Interval>> ivs;  ///< [color][arg], basis units
   std::vector<char> all_empty;             ///< per color: no real work
 

@@ -10,6 +10,7 @@
 
 #include "rt/runtime.h"
 #include "rt/runtime_detail.h"
+#include "rt/runtime_state.h"
 
 namespace legate::rt {
 
@@ -41,9 +42,10 @@ void Runtime::sync_store_access(StoreId id) {
   }
   drain_sim_queue();
   // The returned span is mutable: assume the caller changes the bytes, so
-  // memoized images of this store must not be reused, and cached exchange
-  // plans signed against its state are stale.
-  ++eager_epoch_[id];
+  // memoized image content of this store must be rebuilt, and cached
+  // exchange plans signed against its state are stale. The write sequence
+  // and the accounted identities stay (ROADMAP `[access]`).
+  for (auto& [key, memo] : image_range(id)) memo.content.clear();
   comm_invalidate(id);
 }
 
@@ -193,8 +195,9 @@ void Runtime::eager_solve(LaunchRecord& R) {
   }
   // Image/halo constraints, iterated to handle chains (pos -> crd -> x).
   // Images read real source data: wait for that store's pending writer node
-  // first, then memoize per (source, partition, epoch) so steady-state
-  // iterations skip the scan.
+  // first, then memoize per (source, kind, write sequence, partition) so
+  // steady-state iterations skip the scan.
+  R.src_seq.assign(static_cast<std::size_t>(nargs), 0);
   for (int pass = 0; pass < nargs; ++pass) {
     bool progress = false, pending = false;
     for (int i = 0; i < nargs; ++i) {
@@ -222,16 +225,14 @@ void Runtime::eager_solve(LaunchRecord& R) {
       } else {
         const auto& src = R.args[a.image_src].view;
         wait_store_writer(src.id);
-        ImageKey key{src.id, parts[a.image_src]->uid(), a.ckind,
-                     eager_epoch_[src.id]};
-        auto it = eager_images_.find(key);
-        if (it == eager_images_.end()) {
-          it = eager_images_
-                   .emplace(key, detail::build_image_partition(
-                                     src, *parts[a.image_src], a.ckind))
-                   .first;
+        const std::uint64_t seq = sync(src.id).issued;
+        auto& content = images_[{src.id, a.ckind, seq}].content;
+        auto [it, miss] = content.try_emplace(parts[a.image_src]->uid());
+        if (miss) {
+          it->second = detail::build_image_partition(src, *parts[a.image_src], a.ckind);
         }
         parts[i] = it->second;
+        R.src_seq[static_cast<std::size_t>(i)] = seq;
       }
       progress = true;
     }
@@ -271,11 +272,10 @@ void Runtime::enqueue_record(const std::shared_ptr<LaunchRecord>& R) {
       h.readers.push_back(node);
     } else {
       // WriteDiscard / ReadWrite / Reduce all rewrite real bytes (the reduce
-      // write-back happens inside run_leaves); sequential launches bump the
-      // epoch in sim_apply instead.
+      // write-back happens inside run_leaves).
       h.writer = node;
       h.readers.clear();
-      ++eager_epoch_[a.view.id];
+      ++sync(a.view.id).issued;
     }
   }
   R->node = node;

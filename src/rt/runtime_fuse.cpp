@@ -120,16 +120,9 @@ void Runtime::flush_fuse_window() {
   auto run_releases = [this] {
     auto rel = std::move(fuse_pending_release_);
     fuse_pending_release_.clear();
-    for (const auto& [id, esize] : rel) {
-      // The window's records are enqueued now, with their hazard edges
-      // against this store registered; the id is finally unreachable.
-      retire_eager_state(id);
-      if (!sim_queue_.empty()) {
-        sim_queue_.push_back([this, id, esize] { release_store(id, esize); });
-      } else {
-        release_store(id, esize);
-      }
-    }
+    // The window's records are enqueued now, with their hazard edges
+    // against these stores registered.
+    for (const auto& [id, esize] : rel) retire_store(id, esize);
   };
 
   try {

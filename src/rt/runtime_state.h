@@ -1,8 +1,8 @@
 #pragma once
 
 // Definitions of Runtime's private dynamic-analysis state, shared by the
-// runtime translation units (runtime.cpp, runtime_comm.cpp). Internal header:
-// include only after rt/runtime.h.
+// runtime translation units (runtime.cpp, runtime_comm.cpp, runtime_exec.cpp).
+// Internal header: include only after rt/runtime.h.
 
 #include <algorithm>
 #include <array>
@@ -69,8 +69,10 @@ struct Runtime::Alloc {
 /// coordinates (2-D stores linearized row-major).
 struct Runtime::SyncState {
   std::vector<std::pair<Interval, double>> readers;  ///< reads since last write
+  /// The write sequence: each write draws the next version. Writes replayed
+  /// and writes issued; equal whenever the stream is fully replayed.
   std::uint64_t version_counter{0};
-  std::uint64_t epoch{0};  ///< bumped on writes; keys image accounting
+  std::uint64_t issued{0};
   /// Key partition: identity of the last partition used to write (or first
   /// used to read) this store, 0 = none. Keys are always equal splits of
   /// the store's own basis, so the color count is all reuse needs to know.
@@ -79,10 +81,7 @@ struct Runtime::SyncState {
 
   [[nodiscard]] const IntervalMap<Written>& written() const { return written_; }
   /// Start a write: the pieces recorded by write() share a fresh version.
-  void begin_write() {
-    ++version_counter;
-    ++epoch;
-  }
+  void begin_write() { ++version_counter; }
   /// The one write path: `elem` takes the current version, owned by `owner`
   /// and valid from `t`, and every allocation in `holders` holds it.
   void write(Interval elem, int owner, double t, std::span<Alloc* const> holders) {

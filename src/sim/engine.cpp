@@ -193,6 +193,14 @@ double Engine::busy_proc(int proc, double ready, double duration,
   return clk;
 }
 
+void Engine::note_recovery(int proc, double from, double to, std::string_view label) {
+  if (!recorder_.enabled()) return;
+  // Gated by the failed attempt (it completed at `from`); the retry, gated
+  // at `to`, then chains to this interval.
+  recorder_.record(prof::Category::Recovery, proc_track(proc), from, to, from,
+                   label.empty() ? "recovery" : std::string(label));
+}
+
 double& Engine::pair_link(int src_mem, int dst_mem) {
   auto key = std::minmax(src_mem, dst_mem);
   return pair_links_[{key.first, key.second}];

@@ -119,6 +119,12 @@ class Engine {
   double busy_proc(int proc, double ready, double duration,
                    std::string_view label = {});
 
+  /// Timeline only: processor `proc` waits from `from` to `to` for a failed
+  /// point's detection and retry backoff. Occupies no clock, so simulated
+  /// times are unchanged; the interval lets the critical path attribute the
+  /// gap instead of reading it as wait.
+  void note_recovery(int proc, double from, double to, std::string_view label = {});
+
   /// Model a copy of `bytes` from memory `src` to memory `dst` whose source
   /// data is available at `ready`; returns completion time. `src == dst`
   /// models intra-memory movement (allocation resizing / reshape).

@@ -7,6 +7,7 @@
 
 #include <cctype>
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <memory>
 #include <stdexcept>
@@ -580,7 +581,8 @@ struct CritLeg {
   const char* name;
   rt::Fusion fusion;
   comm::Mode comm;
-  bool faults;
+  bool whole_solve;          ///< the 4-GPU whole solve, not the steady state
+  std::uint64_t fault_seed;  ///< 0: fault-free; else 1% transient faults
 };
 
 void PrintTo(const CritLeg& leg, std::ostream* os) { *os << leg.name; }
@@ -597,10 +599,17 @@ TEST_P(RuntimeCriticalPath, ExplainsTheRecordedWindowWithoutWait) {
   rt::RuntimeOptions opts;
   opts.fusion = leg.fusion;
   opts.comm = leg.comm;
+  if (leg.fault_seed != 0) {
+    // Each retry waits out its failure detection and backoff (300 us for a
+    // first retry); a recovery interval on the point's processor covers it.
+    opts.faults.enabled = true;
+    opts.faults.seed = leg.fault_seed;
+    opts.faults.task_fault_rate = 0.01;
+  }
   std::unique_ptr<sim::Machine> machine;
   std::unique_ptr<rt::Runtime> runtime;
   double t0 = 0;
-  if (!leg.faults) {
+  if (!leg.whole_solve) {
     // Steady state of a 2-D Poisson CG on 12 GPUs over 2 nodes, recorded
     // after a warm-up that distributes the matrix.
     machine = std::make_unique<sim::Machine>(sim::Machine::gpus(12, pp));
@@ -615,12 +624,6 @@ TEST_P(RuntimeCriticalPath, ExplainsTheRecordedWindowWithoutWait) {
     (void)solve::cg(A, b, /*tol=*/0.0, /*maxiter=*/8);
   } else {
     // bench_resilience's transient-1pct point: the whole solve recorded.
-    // Each retry waits out its failure detection and backoff (300 us here)
-    // with no event covering it, so a retry on the chain is real wait; at
-    // this size one retry lands on a 120 ms path.
-    opts.faults.enabled = true;
-    opts.faults.seed = 7;
-    opts.faults.task_fault_rate = 0.01;
     machine = std::make_unique<sim::Machine>(
         sim::Machine::gpus(4, pp, /*gpus_per_node=*/2));
     runtime = std::make_unique<rt::Runtime>(*machine, opts);
@@ -628,6 +631,8 @@ TEST_P(RuntimeCriticalPath, ExplainsTheRecordedWindowWithoutWait) {
     auto b = dense::DArray::random(*runtime, 4096, 1);
     runtime->engine().recorder().enable();
     (void)solve::cg(A, b, /*tol=*/1e-8, /*maxiter=*/500);
+  }
+  if (leg.fault_seed != 0) {
     ASSERT_GT(runtime->engine().stats().retries, 0) << "no fault fired";
   }
   (void)runtime->metrics_snapshot();
@@ -652,14 +657,14 @@ TEST_P(RuntimeCriticalPath, ExplainsTheRecordedWindowWithoutWait) {
 INSTANTIATE_TEST_SUITE_P(
     Modes, RuntimeCriticalPath,
     ::testing::Values(
-        CritLeg{"FuseOffCommOff", rt::Fusion::Off, comm::Mode::Off, false},
-        CritLeg{"FuseOffCommPlan", rt::Fusion::Off, comm::Mode::Plan, false},
-        CritLeg{"FuseOffCommOverlap", rt::Fusion::Off, comm::Mode::Overlap, false},
-        CritLeg{"FuseOnCommOff", rt::Fusion::On, comm::Mode::Off, false},
-        CritLeg{"FuseOnCommPlan", rt::Fusion::On, comm::Mode::Plan, false},
-        CritLeg{"FuseOnCommOverlap", rt::Fusion::On, comm::Mode::Overlap, false},
-        CritLeg{"TransientFaultsCommPlan", rt::Fusion::Off, comm::Mode::Plan,
-                true}),
+        CritLeg{"FuseOffCommOff", rt::Fusion::Off, comm::Mode::Off, false, 0},
+        CritLeg{"FuseOffCommPlan", rt::Fusion::Off, comm::Mode::Plan, false, 0},
+        CritLeg{"FuseOffCommOverlap", rt::Fusion::Off, comm::Mode::Overlap, false, 0},
+        CritLeg{"FuseOnCommOff", rt::Fusion::On, comm::Mode::Off, false, 0},
+        CritLeg{"FuseOnCommPlan", rt::Fusion::On, comm::Mode::Plan, false, 0},
+        CritLeg{"FuseOnCommOverlap", rt::Fusion::On, comm::Mode::Overlap, false, 0},
+        CritLeg{"TransientFaultsCommPlan", rt::Fusion::Off, comm::Mode::Plan, true, 7},
+        CritLeg{"SteadyTransientFaults", rt::Fusion::Off, comm::Mode::Off, false, 11}),
     [](const ::testing::TestParamInfo<CritLeg>& info) {
       return std::string(info.param.name);
     });
