@@ -34,7 +34,8 @@ void MpiSim::exchange(const std::map<std::pair<int, int>, double>& bytes) {
     if (src == dst || b <= 0) continue;
     int ms = machine_.proc(src).mem;
     int md = machine_.proc(dst).mem;
-    double done = engine_->copy(ms, md, b, depart[static_cast<std::size_t>(src)]);
+    double done =
+        engine_->copy(sim::Copy::Mpi, ms, md, b, depart[static_cast<std::size_t>(src)]);
     phase_end = std::max(phase_end, done);
   }
   // Neighborhood collectives complete when every participant's data landed.

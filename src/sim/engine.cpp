@@ -49,6 +49,15 @@ Engine::Engine(const Machine& machine)
   met_.flips_recovered = metrics_.counter(
       "lsr_integrity_flips_recovered_total",
       "injected flips repaired bit-exactly in place");
+  // One byte counter per copy cause, in Copy declaration order.
+  static constexpr const char* kCopyCauses[] = {"ghost", "resize", "spill", "shuffle",
+                                                "mpi"};
+  static_assert(std::size(kCopyCauses) == static_cast<std::size_t>(Copy::Mpi) + 1);
+  for (std::size_t i = 0; i < std::size(kCopyCauses); ++i) {
+    met_.copy_cause[i] = metrics_.counter(
+        std::string("lsr_sim_copy_") + kCopyCauses[i] + "_bytes_total",
+        std::string("bytes moved by ") + kCopyCauses[i] + " copies (scaled)");
+  }
   met_.copy_intra = metrics_.histogram("lsr_sim_copy_bytes_intra",
                                        "per-copy intra-memory bytes", bytes);
   met_.copy_nvlink = metrics_.histogram("lsr_sim_copy_bytes_nvlink",
@@ -206,7 +215,7 @@ double& Engine::pair_link(int src_mem, int dst_mem) {
   return pair_links_[{key.first, key.second}];
 }
 
-double Engine::copy(int src, int dst, double bytes, double ready) {
+double Engine::copy(Copy cause, int src, int dst, double bytes, double ready) {
   // Validate before touching any clock or counter: a bad id must not leave
   // half-applied accounting behind (`.at()` below would only throw after the
   // copy was already counted, with an unhelpful "map::at" message).
@@ -222,6 +231,7 @@ double Engine::copy(int src, int dst, double bytes, double ready) {
                      "dst_mem", dst, nmem);
   met_.copies.inc();
   bytes *= cost_scale_;
+  met_.copy_cause[static_cast<std::size_t>(cause)].inc(bytes);
   const auto& sm = machine_.memory(src);
   const auto& dm = machine_.memory(dst);
   const bool rec = recorder_.enabled();

@@ -65,6 +65,17 @@ enum class Ev : std::uint8_t {
                   ///< (a = transfers, b = 1 plan hit / 0 miss, v = bytes)
 };
 
+/// Why a copy moves bytes. Engine::copy charges each copy's scaled bytes to
+/// its cause's Stable counter, lsr_sim_copy_<cause>_bytes_total, as well as
+/// to its link class: the cause counters sum exactly to intra + nvlink + ib.
+enum class Copy : std::uint8_t {
+  Ghost,    ///< a stale piece pulled into a launch's instance (Pass B)
+  Resize,   ///< valid contents migrated into a coalesced allocation
+  Spill,    ///< a sole copy evicted to system memory under OOM pressure
+  Shuffle,  ///< an all-to-all block of Runtime::shuffle
+  Mpi,      ///< a message of the MPI-style baseline (baselines/mpisim)
+};
+
 /// Turns a roofline Cost into seconds on a given processor kind.
 /// Callers select the core fraction (Legate reserves runtime cores; SciPy is
 /// single-threaded) so the same model serves the runtime and all baselines.
@@ -127,8 +138,9 @@ class Engine {
 
   /// Model a copy of `bytes` from memory `src` to memory `dst` whose source
   /// data is available at `ready`; returns completion time. `src == dst`
-  /// models intra-memory movement (allocation resizing / reshape).
-  double copy(int src, int dst, double bytes, double ready);
+  /// models intra-memory movement (allocation resizing / reshape). `cause`
+  /// selects the byte counter the copy is charged to besides its link's.
+  double copy(Copy cause, int src, int dst, double bytes, double ready);
 
   /// Model an all-reduce across `nprocs` processors whose inputs are ready at
   /// `ready`. Legate-style carries a linear per-processor term (the Legion
@@ -248,6 +260,7 @@ class Engine {
     metrics::Counter bytes_intra, bytes_nvlink, bytes_ib, bytes_ckpt;
     metrics::Counter faults, retries, spills, checkpoints, restores;
     metrics::Counter flips_injected, flips_detected, flips_recovered;
+    metrics::Counter copy_cause[static_cast<std::size_t>(Copy::Mpi) + 1];
     metrics::Histogram copy_intra, copy_nvlink, copy_ib;
     metrics::Histogram stall_seconds, ckpt_bytes, flip_latency;
   } met_;

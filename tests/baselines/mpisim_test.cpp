@@ -52,6 +52,18 @@ TEST_F(MpiSimTest, ExchangeDoesNotCascadeAcrossNodes) {
   EXPECT_LT(sim.makespan(), 6 * per_msg + 1e-3);
 }
 
+TEST_F(MpiSimTest, ExchangeChargesMpiCopyBytes) {
+  MpiSim sim(sim::ProcKind::GPU, 12, pp_);  // 2 nodes
+  std::map<std::pair<int, int>, double> bytes{{{0, 1}, 1e6}, {{0, 7}, 2e6}};
+  sim.exchange(bytes);
+  const metrics::Snapshot snap = sim.engine().metrics().snapshot();
+  const auto* mpi = snap.find("lsr_sim_copy_mpi_bytes_total");
+  ASSERT_NE(mpi, nullptr);
+  EXPECT_EQ(mpi->value, 3e6);
+  const sim::Stats st = sim.engine().stats();
+  EXPECT_EQ(st.bytes_intra + st.bytes_nvlink + st.bytes_ib, 3e6);
+}
+
 TEST_F(MpiSimTest, ExchangeSynchronizesParticipants) {
   MpiSim sim(sim::ProcKind::GPU, 2, pp_);
   sim.compute(0, 790e9, 0);  // rank 0 ahead by ~1s

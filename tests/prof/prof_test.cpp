@@ -225,7 +225,7 @@ TEST(RecorderTest, DisabledRecorderStoresNothingThroughEngine) {
   sim::Machine m = sim::Machine::gpus(2, pp);
   sim::Engine e(m);
   e.busy_proc(0, 0.0, 1.0, "t");
-  e.copy(m.proc(0).mem, m.proc(1).mem, 1e6, 0.0);
+  e.copy(sim::Copy::Ghost, m.proc(0).mem, m.proc(1).mem, 1e6, 0.0);
   e.allreduce_bytes(2, 1e3, 0.0, true);
   EXPECT_FALSE(e.recorder().enabled());
   EXPECT_TRUE(e.recorder().events().empty());

@@ -42,7 +42,7 @@ TEST_F(EngineTest, IntraNodeCopyUsesNvlink) {
   Engine e(m);
   int fb0 = m.proc(0).mem, fb1 = m.proc(1).mem;
   double bytes = 45e9;  // exactly one second at NVLink bandwidth
-  double t = e.copy(fb0, fb1, bytes, 0.0);
+  double t = e.copy(Copy::Ghost, fb0, fb1, bytes, 0.0);
   EXPECT_NEAR(t, 1.0 + pp.nvlink_lat, 1e-9);
   EXPECT_DOUBLE_EQ(e.stats().bytes_nvlink, bytes);
   EXPECT_DOUBLE_EQ(e.stats().bytes_ib, 0.0);
@@ -55,11 +55,11 @@ TEST_F(EngineTest, InterNodeCopyUsesIbAndContends) {
   int fb6 = m.proc(6).mem;        // node 1
   int fb7 = m.proc(7).mem;        // node 1
   double bytes = pp.ib_bw;        // one second each
-  double t1 = e.copy(fb0, fb6, bytes, 0.0);
+  double t1 = e.copy(Copy::Ghost, fb0, fb6, bytes, 0.0);
   // Second copy from the same node shares the NIC-out queue: its
   // transmission serializes behind the first (latency is per message, not
   // per queue slot).
-  double t2 = e.copy(fb0, fb7, bytes, 0.0);
+  double t2 = e.copy(Copy::Ghost, fb0, fb7, bytes, 0.0);
   EXPECT_GT(t2, t1);
   EXPECT_NEAR(t2 - t1, 1.0, 1e-6);
   EXPECT_DOUBLE_EQ(e.stats().bytes_ib, 2 * bytes);
@@ -69,8 +69,35 @@ TEST_F(EngineTest, IntraMemoryCopyCountsAsIntra) {
   Machine m = Machine::gpus(1, pp);
   Engine e(m);
   int fb = m.proc(0).mem;
-  e.copy(fb, fb, 1e6, 0.0);
+  e.copy(Copy::Resize, fb, fb, 1e6, 0.0);
   EXPECT_DOUBLE_EQ(e.stats().bytes_intra, 1e6);
+}
+
+TEST_F(EngineTest, CopyChargesItsCauseCounter) {
+  Machine m = Machine::gpus(12, pp);  // 2 nodes
+  Engine e(m);
+  e.set_cost_scale(2.0);
+  const int fb0 = m.proc(0).mem, fb1 = m.proc(1).mem, fb6 = m.proc(6).mem;
+  e.copy(Copy::Ghost, fb0, fb6, 100, 0.0);
+  e.copy(Copy::Resize, fb0, fb0, 200, 0.0);
+  e.copy(Copy::Spill, fb0, fb1, 300, 0.0);
+  e.copy(Copy::Shuffle, fb1, fb6, 400, 0.0);
+  e.copy(Copy::Mpi, fb6, fb0, 500, 0.0);
+  e.copy(Copy::Ghost, fb1, fb0, 600, 0.0);
+  const metrics::Snapshot snap = e.metrics().snapshot();
+  auto bytes = [&](const std::string& cause) {
+    const auto* mt = snap.find("lsr_sim_copy_" + cause + "_bytes_total");
+    EXPECT_NE(mt, nullptr) << cause;
+    return mt != nullptr ? mt->value : -1.0;
+  };
+  // Scaled bytes, like the link counters.
+  EXPECT_EQ(bytes("ghost"), 1400.0);
+  EXPECT_EQ(bytes("resize"), 400.0);
+  EXPECT_EQ(bytes("spill"), 600.0);
+  EXPECT_EQ(bytes("shuffle"), 800.0);
+  EXPECT_EQ(bytes("mpi"), 1000.0);
+  const Stats st = e.stats();
+  EXPECT_EQ(st.bytes_intra + st.bytes_nvlink + st.bytes_ib, 4200.0);
 }
 
 TEST_F(EngineTest, CopyRejectsOutOfRangeMemoryIds) {
@@ -78,10 +105,10 @@ TEST_F(EngineTest, CopyRejectsOutOfRangeMemoryIds) {
   Engine e(m);
   const int nmem = static_cast<int>(m.memories().size());
   int fb = m.proc(0).mem;
-  EXPECT_THROW(e.copy(-1, fb, 1e6, 0.0), IndexError);
-  EXPECT_THROW(e.copy(nmem, fb, 1e6, 0.0), IndexError);
-  EXPECT_THROW(e.copy(fb, -3, 1e6, 0.0), IndexError);
-  EXPECT_THROW(e.copy(fb, nmem + 7, 1e6, 0.0), IndexError);
+  EXPECT_THROW(e.copy(Copy::Ghost, -1, fb, 1e6, 0.0), IndexError);
+  EXPECT_THROW(e.copy(Copy::Ghost, nmem, fb, 1e6, 0.0), IndexError);
+  EXPECT_THROW(e.copy(Copy::Ghost, fb, -3, 1e6, 0.0), IndexError);
+  EXPECT_THROW(e.copy(Copy::Ghost, fb, nmem + 7, 1e6, 0.0), IndexError);
   // The check precedes any accounting: a rejected copy must not half-apply.
   EXPECT_EQ(e.stats().copies, 0L);
   EXPECT_DOUBLE_EQ(e.stats().bytes_intra, 0.0);
@@ -90,7 +117,7 @@ TEST_F(EngineTest, CopyRejectsOutOfRangeMemoryIds) {
   EXPECT_DOUBLE_EQ(e.makespan(), 0.0);
   // And the message names the offending axis and bound.
   try {
-    e.copy(fb, nmem, 1e6, 0.0);
+    e.copy(Copy::Ghost, fb, nmem, 1e6, 0.0);
     FAIL() << "expected IndexError";
   } catch (const IndexError& err) {
     const std::string what = err.what();
@@ -227,10 +254,10 @@ TEST_F(EngineTest, NicInSerializesAtDestination) {
   int src1 = m.proc(6).mem;    // node 1
   int dst = m.proc(12).mem;    // node 2
   double bytes = pp.ib_bw;     // one second of transmission each
-  double t1 = e.copy(src0, dst, bytes, 0.0);
+  double t1 = e.copy(Copy::Ghost, src0, dst, bytes, 0.0);
   // Different source nodes, so NIC-out queues are independent — but both
   // transfers drain through node 2's NIC-in, which serializes them.
-  double t2 = e.copy(src1, dst, bytes, 0.0);
+  double t2 = e.copy(Copy::Ghost, src1, dst, bytes, 0.0);
   EXPECT_NEAR(t1, 1.0 + pp.ib_lat, 1e-9);
   EXPECT_NEAR(t2, 2.0 + pp.ib_lat, 1e-9);
 }
@@ -242,7 +269,7 @@ TEST_F(EngineTest, ResetClearsClocksStatsAndTimeline) {
   int mem = m.proc(0).mem;
   e.alloc_bytes(mem, 1e6);
   e.busy_proc(0, 0.0, 1.0, "work");
-  e.copy(m.proc(0).mem, m.proc(1).mem, 1e6, 0.0);
+  e.copy(Copy::Ghost, m.proc(0).mem, m.proc(1).mem, 1e6, 0.0);
   e.allreduce_bytes(2, 1e3, 0.0, true);
   e.control_advance(10e-6);
   ASSERT_GT(e.makespan(), 0.0);
@@ -263,7 +290,7 @@ TEST_F(EngineTest, ResetClearsClocksStatsAndTimeline) {
   EXPECT_DOUBLE_EQ(e.peak_bytes(mem), 1e6);
   // Every clock rewound: identical work replays to identical times.
   EXPECT_DOUBLE_EQ(e.busy_proc(0, 0.0, 1.0), 1.0);
-  EXPECT_NEAR(e.copy(m.proc(0).mem, m.proc(1).mem, 45e9, 0.0),
+  EXPECT_NEAR(e.copy(Copy::Ghost, m.proc(0).mem, m.proc(1).mem, 45e9, 0.0),
               1.0 + pp.nvlink_lat, 1e-9);
 }
 
