@@ -24,13 +24,14 @@
 # lsr_diag flight recorder + watchdog on for every test run (DESIGN.md §14)
 # — CI runs a tier-1 leg with LSR_DIAG=on to prove recording perturbs
 # nothing; the tsan preset exercises the diag rings under ThreadSanitizer.
-# LSR_COMM=off|plan|overlap selects the communication planner (DESIGN.md
-# §15): cached halo-exchange plans, per-link message coalescing, and (with
-# overlap) interior/boundary kernel splitting. CI runs tier-1 and tsan legs
-# with LSR_COMM=overlap — results must stay bit-identical to off. The planner
-# stays on under fault injection (retries go through the same point charge
-# as the per-piece path), so those legs cover the recovery, checkpoint and
-# corruption suites with plans active too.
+# LSR_COMM=off|plan|overlap selects the communication planner mode (DESIGN.md
+# §15): off is the uncached ablation with one message per ghost; plan adds
+# cached halo-exchange plans and per-link message coalescing, and overlap
+# interior/boundary kernel splitting. CI runs a tier-1 leg with
+# LSR_COMM=overlap — results must stay bit-identical to off. Every mode runs
+# under fault injection (retries go through the one point charge), so that
+# leg covers the recovery, checkpoint and corruption suites with plans
+# active too.
 set -uo pipefail
 cd "$(dirname "$0")/.."
 

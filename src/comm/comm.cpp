@@ -27,39 +27,40 @@ const char* comm_mode_name(Mode m) {
   return "?";
 }
 
-void ExchangePlan::coalesce(int colors, const std::vector<int>& mem_node) {
+void ExchangePlan::coalesce(int colors, const std::vector<int>& mem_node, bool per_link) {
   transfers.clear();
   ghost_bytes_by_color.assign(static_cast<std::size_t>(colors), 0.0);
   total_bytes = 0;
   stores.clear();
 
   // One transfer per modeled link, in first-appearance order (ghost order is
-  // deterministic, so so is this). The representative memory pair is the
-  // first member's: intra and nvlink groups share it by construction, and
-  // the engine routes cross-node copies through the node NICs, so any member
-  // pair with the right nodes charges identically.
+  // deterministic, so so is this); without `per_link`, one per ghost. The
+  // representative memory pair is the first member's: intra and nvlink
+  // groups share it by construction, and the engine routes cross-node copies
+  // through the node NICs, so any member pair with the right nodes charges
+  // identically.
   std::map<std::tuple<int, int, int>, std::size_t> index;
-  for (std::uint32_t gi = 0; gi < ghosts.size(); ++gi) {
-    const Ghost& g = ghosts[gi];
-    std::tuple<int, int, int> link;
-    if (g.src_mem == g.dst_mem) {
-      link = {0, g.src_mem, g.src_mem};
-    } else if (mem_node[static_cast<std::size_t>(g.src_mem)] ==
-               mem_node[static_cast<std::size_t>(g.dst_mem)]) {
-      link = {1, g.src_mem, g.dst_mem};
-    } else {
-      // Cross-node groups keep source-memory granularity: the aggregate's
-      // start is gated on max(src readiness) over its members, so folding a
-      // whole node's memories together would couple every destination to the
-      // node's slowest producer.
-      link = {2, g.src_mem,
-              mem_node[static_cast<std::size_t>(g.dst_mem)]};
+  for (Ghost& g : ghosts) {
+    std::size_t ti = transfers.size();
+    if (per_link) {
+      std::tuple<int, int, int> link;
+      if (g.src_mem == g.dst_mem) {
+        link = {0, g.src_mem, g.src_mem};
+      } else if (mem_node[static_cast<std::size_t>(g.src_mem)] ==
+                 mem_node[static_cast<std::size_t>(g.dst_mem)]) {
+        link = {1, g.src_mem, g.dst_mem};
+      } else {
+        // Cross-node groups keep source-memory granularity: the aggregate's
+        // start is gated on max(src readiness) over its members, so folding
+        // a whole node's memories together would couple every destination
+        // to the node's slowest producer.
+        link = {2, g.src_mem, mem_node[static_cast<std::size_t>(g.dst_mem)]};
+      }
+      ti = index.try_emplace(link, ti).first->second;
     }
-    auto [it, inserted] = index.try_emplace(link, transfers.size());
-    if (inserted) transfers.push_back(Transfer{g.src_mem, g.dst_mem, 0.0, {}});
-    Transfer& t = transfers[it->second];
-    t.bytes += g.bytes;
-    t.ghosts.push_back(gi);
+    if (ti == transfers.size()) transfers.push_back(Transfer{g.src_mem, g.dst_mem, 0.0});
+    transfers[ti].bytes += g.bytes;
+    g.transfer = static_cast<std::uint32_t>(ti);
     ghost_bytes_by_color[static_cast<std::size_t>(g.color)] += g.bytes;
     total_bytes += g.bytes;
   }

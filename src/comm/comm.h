@@ -3,24 +3,25 @@
 // Communication planner (lsr_comm): explicit halo-exchange plans for the
 // runtime's staleness copies.
 //
-// The runtime's default staging path (Runtime::ensure_in_memory) re-derives
-// and issues each launch's ghost copies one (source, destination) pair at a
-// time, on every launch. For the fixed-structure iterations that dominate
-// CG/GMRES the staleness set is identical from one iteration to the next, so
-// this layer materializes it once into an ExchangePlan — the per-destination
-// ghost index sets with their byte volumes — and caches it keyed by the
-// launch's partition structure plus a valid-set signature of the stores'
-// version/ownership/instance state. A cached plan is only replayed when the
-// freshly computed signature matches, so correctness never depends on
-// invalidation hooks; invalidation (store mutation, destruction,
+// The runtime stages every launch through one Pass B (Runtime::comm_pass_b):
+// it creates the launch's instances, then materializes the launch's
+// staleness set into an ExchangePlan — the per-destination ghost index sets
+// with their byte volumes — and issues it. For the fixed-structure
+// iterations that dominate CG/GMRES the staleness set is identical from one
+// iteration to the next, so under plan/overlap the plan is cached keyed by
+// the launch's partition structure plus a valid-set signature of the
+// stores' version/ownership/instance state. A cached plan is only replayed
+// when the freshly computed signature matches, so correctness never depends
+// on invalidation hooks; invalidation (store mutation, destruction,
 // repartitioning) is hygiene that keeps the cache small and the hit/miss
 // counters meaningful.
 //
-// A plan's ghosts are coalesced into one aggregated transfer per modeled
-// link: per memory for intra-memory traffic, per (src, dst) memory pair for
-// same-node (nvlink) traffic, and per (src, dst) node pair for inter-node
-// (ib) traffic — replacing one-copy-per-piece charging with one latency
-// payment per link. See DESIGN.md §15.
+// Under plan/overlap a plan's ghosts are coalesced into one aggregated
+// transfer per modeled link: per memory for intra-memory traffic, per (src,
+// dst) memory pair for same-node (nvlink) traffic, and per (src, dst) node
+// pair for inter-node (ib) traffic — one latency payment per link. Off is
+// the uncached ablation with one message per ghost, the Fig. 5 baseline.
+// See DESIGN.md §15.
 //
 // This library sits below rt (links only lsr_util); the runtime owns the
 // derivation and application logic (src/rt/runtime_comm.cpp).
@@ -41,7 +42,7 @@ using StoreId = std::uint64_t;
 /// Communication-planner mode (RuntimeOptions::comm / LSR_COMM).
 enum class Mode {
   Unset,    ///< read LSR_COMM (`off|plan|overlap`), defaulting to Off
-  Off,      ///< per-piece staging copies (the baseline engine-op sequence)
+  Off,      ///< uncached, one message per ghost: the Fig. 5 baseline
   Plan,     ///< cached exchange plans + per-link message coalescing
   Overlap,  ///< Plan, plus interior/boundary kernel splitting so compute
             ///< proceeds while ghost transfers are in flight
@@ -80,6 +81,7 @@ struct Ghost {
   int dst_mem{-1};
   int color{0};
   double bytes{0};  ///< raw (unscaled) payload bytes
+  std::uint32_t transfer{0};  ///< index into ExchangePlan::transfers (coalesce)
 };
 
 /// One aggregated transfer: every ghost riding the same modeled link, issued
@@ -88,7 +90,6 @@ struct Transfer {
   int src_mem{-1};
   int dst_mem{-1};
   double bytes{0};
-  std::vector<std::uint32_t> ghosts;  ///< indices into ExchangePlan::ghosts
 };
 
 /// A launch's materialized staleness-copy set plus its coalesced form.
@@ -110,9 +111,10 @@ struct ExchangePlan {
 
   /// Group `ghosts` into `transfers` by modeled link — intra-memory (same
   /// memory), nvlink (same node: per memory pair), ib (cross-node: per node
-  /// pair) — and fill the per-color/total byte tallies. `mem_node` maps
-  /// memory id → node id; `colors` sizes ghost_bytes_by_color.
-  void coalesce(int colors, const std::vector<int>& mem_node);
+  /// pair) — or, without `per_link`, give each ghost its own transfer; and
+  /// fill the per-color/total byte tallies. `mem_node` maps memory id → node
+  /// id; `colors` sizes ghost_bytes_by_color.
+  void coalesce(int colors, const std::vector<int>& mem_node, bool per_link);
 };
 
 /// Exchange-plan cache activity as the runtime counts it

@@ -292,10 +292,10 @@ struct RuntimeOptions {
   /// splitting so compute overlaps the exchange (`overlap`). Unset reads the
   /// LSR_COMM environment variable (`off|plan|overlap`), defaulting to Off.
   /// Results are bit-identical across modes and exec thread counts; only the
-  /// simulated copy schedule changes. The planner composes with fault
-  /// injection (both Pass B strategies share one point charge, retries
-  /// included); only the coalescing=false ablation disables it (plans
-  /// assume disjoint allocation extents).
+  /// simulated copy schedule changes. Every mode stages launches through the
+  /// planner's Pass B: `off` is its uncached ablation with one message per
+  /// ghost (the Fig. 5 baseline). The planner composes with fault injection
+  /// and with the coalescing=false ablation.
   comm::Mode comm = comm::Mode::Unset;
 };
 
@@ -398,9 +398,8 @@ class Runtime {
   [[nodiscard]] long fused_eliminated() { return fenced(met_.fuse_eliminated); }
 
   // -- communication planner (src/comm) --------------------------------------
-  /// Whether the comm planner is active (mode plan/overlap and allocation
-  /// coalescing on). Resolved once in the constructor.
-  [[nodiscard]] bool comm_enabled() const { return comm_on_; }
+  /// Whether the comm planner caches and coalesces (mode plan/overlap).
+  [[nodiscard]] bool comm_enabled() const { return comm_mode_ != comm::Mode::Off; }
   /// Resolved comm mode (never Unset).
   [[nodiscard]] comm::Mode comm_mode() const { return comm_mode_; }
   /// Exchange-plan cache hits/misses/invalidations: the lsr_comm_plan_*
@@ -516,12 +515,10 @@ class Runtime {
   /// The one external write (attach, restore): `s` takes a fresh version,
   /// valid from `t` in `home`, an allocation in the home memory.
   void write_external(const Store& s, double t, Alloc& home);
-  /// Ensure `elem` of `store` is materialized in memory `mem`; returns the
-  /// simulated time at which the data is valid there. `discard` skips
-  /// staleness copies (write-only outputs); `precise`, when given, restricts
-  /// staleness copies to the touched subset of `elem` (precise images).
-  double ensure_in_memory(const detail::StoreView& store, Interval elem, int mem,
-                          bool discard, const IntervalSet* precise = nullptr);
+  /// Ensure `store` has an instance covering `elem` in memory `mem`; returns
+  /// the simulated time at which the data it already holds there is valid.
+  /// Staleness copies into it are Pass B's (comm_pass_b).
+  double ensure_in_memory(const detail::StoreView& store, Interval elem, int mem);
   /// First allocation of `id` in `mem` containing `elem`, or null (no LRU touch).
   [[nodiscard]] Alloc* find_alloc(StoreId id, Interval elem, int mem) const;
   Alloc& find_or_create_alloc(const detail::StoreView& store, Interval elem, int mem);
@@ -544,15 +541,13 @@ class Runtime {
   /// When `deferred`, leaves already ran; otherwise solves the record (if
   /// not yet solved) and runs them in place.
   void sim_apply(detail::LaunchRecord& R, bool deferred);
-  // sim_apply's stages, in order (runtime.cpp; comm_pass_b, the planner's
-  // Pass B, in runtime_comm.cpp). Each hands a typed result to the next.
+  // sim_apply's stages, in order (runtime.cpp; comm_pass_b, Pass B, in
+  // runtime_comm.cpp). Each hands a typed result to the next.
   detail::LaunchBoard begin_launch(detail::LaunchRecord& R, bool deferred);
   std::vector<std::uint64_t> account_partitions(const detail::LaunchRecord& R);
   bool pin_launch(const detail::LaunchRecord& R);
   void run_leaves_inline(detail::LaunchRecord& R, bool deferred);
   std::vector<double> analyze(const detail::LaunchRecord& R, double t_launch);
-  detail::Mapped stage_pieces(const detail::LaunchRecord& R,
-                              const std::vector<double>& dep_time, double t_launch);
   void publish(const detail::LaunchRecord& R, const detail::Mapped& m,
                const std::vector<std::uint64_t>& key_of, bool poisoned);
   double reduce_stores(const detail::LaunchRecord& R, double max_completion,
@@ -563,9 +558,9 @@ class Runtime {
   /// Charge launch point `c` through charge_point and land it in `m`.
   void charge_color(const detail::LaunchRecord& R, int c, detail::Mapped& m,
                     double gate, double interior, double ghost_bytes);
-  /// The one point-kernel charge, shared by both Pass B strategies and
-  /// shuffle's repack: returns (completion, retries exhausted). See the
-  /// definition in runtime.cpp.
+  /// The one point-kernel charge, shared by Pass B and shuffle's repack:
+  /// returns (completion, retries exhausted). See the definition in
+  /// runtime.cpp.
   std::pair<double, bool> charge_point(const detail::PointKernel& k,
                                        std::string_view label);
   /// Submit the record's real work as a task-graph node with dependence
@@ -587,11 +582,12 @@ class Runtime {
   std::shared_ptr<detail::LaunchRecord> make_fused_record(
       std::vector<std::shared_ptr<detail::LaunchRecord>> children);
   // -- comm-planner internals (src/rt/runtime_comm.cpp) ----------------------
-  /// Pass B of sim_apply when the comm planner is active: stage instances,
-  /// look up or derive the launch's ExchangePlan, charge the coalesced
-  /// transfers on the link model, and charge the kernels through
-  /// charge_point. Bit-identical canonical results to the per-piece path —
-  /// only simulated copy ops differ. Its stages follow, in order.
+  /// Pass B of sim_apply, the only one (Section 4.2, Fig. 5): create every
+  /// instance, derive the launch's ExchangePlan (or, under plan/overlap,
+  /// replay a cached one), charge its transfers on the link model, and
+  /// charge the kernels through charge_point. Under comm off the plan is
+  /// derived every launch and issued as one transfer per ghost, in
+  /// derivation order. Its stages follow, in order.
   detail::Mapped comm_pass_b(const detail::LaunchRecord& R,
                              const std::vector<double>& dep_time, double t_launch);
   std::vector<double> comm_instances(const detail::LaunchRecord& R,
@@ -601,7 +597,7 @@ class Runtime {
   std::uint64_t comm_signature(const detail::LaunchRecord& R, const std::vector<int>& keyed,
                                const std::vector<int>& point_mem);
   comm::ExchangePlan comm_derive(const detail::LaunchRecord& R, const std::vector<int>& keyed,
-                                 const std::vector<int>& point_mem, std::uint64_t sig);
+                                 const std::vector<int>& point_mem);
   void comm_apply(const detail::LaunchRecord& R, const std::vector<int>& keyed,
                   const comm::ExchangePlan& plan);
   std::vector<double> comm_gate(const detail::LaunchRecord& R, const std::vector<int>& keyed,
@@ -611,8 +607,8 @@ class Runtime {
   /// checked (staging pins every argument).
   [[nodiscard]] Alloc& staged_alloc(StoreId id, Interval elem, int mem) const;
   /// Drop cached exchange plans touching `id` (store mutation/destruction/
-  /// shuffle/restore) and bump the invalidation counter. No-op when the
-  /// planner is off.
+  /// shuffle/restore) and bump the invalidation counter. Nothing is cached
+  /// under comm off.
   void comm_invalidate(StoreId id);
 
   /// The pre-fusion fence() body: drain sim_queue_ in issue order.
@@ -735,7 +731,6 @@ class Runtime {
 
   // -- comm-planner state (src/rt/runtime_comm.cpp) --------------------------
   comm::Mode comm_mode_{comm::Mode::Off};
-  bool comm_on_{false};
   comm::PlanCache comm_cache_;
 
   // -- fault-tolerance state -------------------------------------------------
@@ -797,8 +792,8 @@ class Runtime {
     metrics::Counter fuse_windows, fuse_fused, fuse_eliminated,
         fuse_bytes_saved;
     /// Communication-planner accounting (src/comm): exchange-plan cache
-    /// hits/misses/invalidations, coalesced transfers issued, per-piece
-    /// copies those transfers replaced, bytes moved by link class, and
+    /// hits/misses/invalidations, transfers issued, ghosts folded into
+    /// another ghost's transfer, bytes moved by link class, and
     /// kernels split into interior/boundary phases under Overlap. All bumped
     /// on the sequential replay path → Stable.
     metrics::Counter comm_plan_hits, comm_plan_misses, comm_plan_invalidations;

@@ -123,8 +123,8 @@ struct Mapped {
   bool exhausted{false};  ///< some point ran out of retries: poison the launch
 };
 
-/// One point kernel for Runtime::charge_point: a launch point of either
-/// Pass B strategy, or one of shuffle's repack kernels.
+/// One point kernel for Runtime::charge_point: a launch point of Pass B, or
+/// one of shuffle's repack kernels.
 struct PointKernel {
   int proc{0};
   sim::Cost cost;         ///< recorded cost, before cost scaling

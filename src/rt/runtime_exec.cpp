@@ -93,7 +93,7 @@ std::shared_ptr<LaunchRecord> Runtime::make_record(TaskLauncher& L) {
   // splits of the strategy subsystem, so tag the timeline label with the
   // strategy (the equal row split is the unlabeled default).
   if (any_pin && engine_->profiling()) R->prof_label += " [part=nnz]";
-  if (comm_on_ && engine_->profiling())
+  if (comm_enabled() && engine_->profiling())
     R->prof_label +=
         comm_mode_ == comm::Mode::Overlap ? " [comm:overlap]" : " [comm:plan]";
   R->leaf = L.leaf_;

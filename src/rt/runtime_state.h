@@ -113,7 +113,7 @@ void for_each_touched(Interval elem, const IntervalSet* precise, F&& fn) {
   }
 }
 
-/// The staleness walk (Section 4.2) of both Pass B strategies: for every
+/// The staleness walk (Section 4.2) of Pass B's derivation: for every
 /// version run `iv` of written data in `elem` (restricted to `precise`, when
 /// given), `fn(iv, v, stale)` gets the pieces of `iv` that `held` lacks at
 /// version v. `fn` may update `held` over `iv`, never `written`.

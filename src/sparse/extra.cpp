@@ -5,6 +5,7 @@
 // SciPy counterparts.
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "sparse/csr.h"
 #include "sparse/formats.h"
@@ -150,16 +151,17 @@ void check_index(const char* func, const char* axis, coord_t idx, coord_t extent
 
 DArray CsrMatrix::getrow(coord_t i) const {
   check_index("getrow", "row", i, rows_);
-  DArray out = DArray::zeros(*rt_, cols_);
+  // Built on the host and attached: a device fill would only be overwritten.
+  std::vector<double> row(static_cast<std::size_t>(cols_), 0.0);
   auto pv = pos_.span<Rect1>();
   auto cv = crd_.span<coord_t>();
   auto vv = vals_.span<double>();
-  auto ov = out.store().span<double>();
   if (!empty_) {
-    for (coord_t j = pv[i].lo; j <= pv[i].hi; ++j) ov[cv[j]] += vv[j];
+    for (coord_t j = pv[i].lo; j <= pv[i].hi; ++j) {
+      row[static_cast<std::size_t>(cv[j])] += vv[j];
+    }
   }
-  rt_->mark_attached(out.store());
-  return out;
+  return DArray::from_vector(*rt_, row);
 }
 
 DArray CsrMatrix::getcol(coord_t j) const {
