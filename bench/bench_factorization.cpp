@@ -110,9 +110,11 @@ double run_legate(const Sample& s, int gpus, const std::string& point = {}) {
   };
   step(0);  // warmup: distributes factors, reaches allocation steady state
   lsr_bench::profile_begin(runtime.engine(), point);
+  auto mbase = lsr_bench::metrics_begin(runtime, point);
   double t0 = runtime.sim_time();
   for (int k = 1; k <= kSteps; ++k) step(k * s.batch);
   double dt = (runtime.sim_time() - t0) / kSteps;
+  lsr_bench::metrics_end(runtime, point, mbase, dt);
   lsr_bench::profile_end(runtime.engine(), point);
   return s.modeled_samples / dt;
 }

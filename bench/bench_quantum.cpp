@@ -61,11 +61,14 @@ double run_legate(sim::ProcKind kind, int procs, const std::string& point = {}) 
   const auto& tab = solve::ButcherTableau::rk8();
   auto warm = solve::integrate(tab, rhs, y, 0.0, 0.01, 1);
   lsr_bench::profile_begin(runtime.engine(), point);
+  auto mbase = lsr_bench::metrics_begin(runtime, point);
   double t0 = runtime.sim_time();
   auto res = solve::integrate(tab, rhs, warm.y, 0.01, 0.01 + 0.01 * kSteps, kSteps);
   benchmark::DoNotOptimize(res.steps);
+  const double sec = (runtime.sim_time() - t0) / kSteps;
+  lsr_bench::metrics_end(runtime, point, mbase, sec);
   lsr_bench::profile_end(runtime.engine(), point);
-  return (runtime.sim_time() - t0) / kSteps;
+  return sec;
 }
 
 double run_ref(baselines::ref::Device dev, int scale_procs) {
