@@ -49,8 +49,8 @@ DArray DArray::arange(rt::Runtime& rt, coord_t n) {
     auto y = ctx.full<double>(out);
     Interval iv = ctx.elem_interval(out);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = static_cast<double>(i);
-    ctx.add_cost(static_cast<double>(iv.size()) * 8.0, 0);
   });
+  launch.set_cost(rt::per_element(out, 8.0, 0));
   launch.execute();
   return a;
 }
@@ -63,9 +63,8 @@ DArray DArray::random(rt::Runtime& rt, coord_t n, std::uint64_t seed) {
     auto y = ctx.full<double>(out);
     Interval iv = ctx.elem_interval(out);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = hashed_uniform(seed, i);
-    ctx.add_cost(static_cast<double>(iv.size()) * 8.0,
-                 static_cast<double>(iv.size()) * 10.0);
   });
+  launch.set_cost(rt::per_element(out, 8.0, 10.0));
   launch.execute();
   return a;
 }
@@ -78,9 +77,8 @@ DArray DArray::random2d(rt::Runtime& rt, coord_t m, coord_t n, std::uint64_t see
     auto y = ctx.full<double>(out);
     Interval iv = ctx.elem_interval(out);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = hashed_uniform(seed, i);
-    ctx.add_cost(static_cast<double>(iv.size()) * 8.0,
-                 static_cast<double>(iv.size()) * 10.0);
   });
+  launch.set_cost(rt::per_element(out, 8.0, 10.0));
   launch.execute();
   return a;
 }
@@ -109,9 +107,8 @@ DArray DArray::binary(const DArray& o, const char* name,
     auto c = ctx.full<double>(ic);
     Interval iv = ctx.elem_interval(ic);
     for (coord_t i = iv.lo; i < iv.hi; ++i) c[i] = op(a[i], b[i]);
-    ctx.add_cost(static_cast<double>(iv.size()) * 24.0,
-                 static_cast<double>(iv.size()));
   });
+  launch.set_cost(rt::per_element(ic, 24.0, 1.0));
   launch.execute();
   return r;
 }
@@ -128,9 +125,8 @@ void DArray::inplace_binary(const DArray& o, const char* name,
     auto b = ctx.full<double>(ib);
     Interval iv = ctx.elem_interval(ia);
     for (coord_t i = iv.lo; i < iv.hi; ++i) a[i] = op(a[i], b[i]);
-    ctx.add_cost(static_cast<double>(iv.size()) * 24.0,
-                 static_cast<double>(iv.size()));
   });
+  launch.set_cost(rt::per_element(ia, 24.0, 1.0));
   launch.execute();
 }
 
@@ -145,9 +141,8 @@ DArray DArray::unary(const char* name, double (*op)(double)) const {
     auto c = ctx.full<double>(ic);
     Interval iv = ctx.elem_interval(ic);
     for (coord_t i = iv.lo; i < iv.hi; ++i) c[i] = op(a[i]);
-    ctx.add_cost(static_cast<double>(iv.size()) * 16.0,
-                 static_cast<double>(iv.size()));
   });
+  launch.set_cost(rt::per_element(ic, 16.0, 1.0));
   launch.execute();
   return r;
 }
@@ -207,9 +202,8 @@ DArray DArray::clip(double lo, double hi) const {
     Interval iv = ctx.elem_interval(ic);
     for (coord_t i = iv.lo; i < iv.hi; ++i)
       c[i] = a[i] < lo ? lo : (a[i] > hi ? hi : a[i]);
-    ctx.add_cost(static_cast<double>(iv.size()) * 16.0,
-                 static_cast<double>(iv.size()));
   });
+  launch.set_cost(rt::per_element(ic, 16.0, 1.0));
   launch.execute();
   return r;
 }
@@ -228,8 +222,8 @@ DArray DArray::slice(coord_t lo, coord_t hi) const {
     auto c = ctx.full<double>(ic);
     Interval iv = ctx.elem_interval(ic);
     for (coord_t i = iv.lo; i < iv.hi; ++i) c[i] = a[i + lo];
-    ctx.add_cost(static_cast<double>(iv.size()) * 16.0, 0);
   });
+  launch.set_cost(rt::per_element(ic, 16.0, 0));
   launch.execute();
   return r;
 }
@@ -257,9 +251,8 @@ DArray DArray::scale(Scalar a) const {
     auto y = ctx.full<double>(ic);
     Interval iv = ctx.elem_interval(ic);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = av * x[i];
-    ctx.add_cost(static_cast<double>(iv.size()) * 16.0,
-                 static_cast<double>(iv.size()));
   });
+  launch.set_cost(rt::per_element(ic, 16.0, 1.0));
   launch.execute();
   return r;
 }
@@ -277,9 +270,8 @@ DArray DArray::add_scalar(Scalar a) const {
     auto y = ctx.full<double>(ic);
     Interval iv = ctx.elem_interval(ic);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = x[i] + av;
-    ctx.add_cost(static_cast<double>(iv.size()) * 16.0,
-                 static_cast<double>(iv.size()));
   });
+  launch.set_cost(rt::per_element(ic, 16.0, 1.0));
   launch.execute();
   return r;
 }
@@ -293,9 +285,8 @@ void DArray::iscale(Scalar a) {
     auto x = ctx.full<double>(ia);
     Interval iv = ctx.elem_interval(ia);
     for (coord_t i = iv.lo; i < iv.hi; ++i) x[i] *= av;
-    ctx.add_cost(static_cast<double>(iv.size()) * 16.0,
-                 static_cast<double>(iv.size()));
   });
+  launch.set_cost(rt::per_element(ia, 16.0, 1.0));
   launch.execute();
 }
 
@@ -312,9 +303,8 @@ void DArray::axpy(Scalar a, const DArray& x) {
     auto xs = ctx.full<double>(ix);
     Interval iv = ctx.elem_interval(iy);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] += av * xs[i];
-    ctx.add_cost(static_cast<double>(iv.size()) * 24.0,
-                 2.0 * static_cast<double>(iv.size()));
   });
+  launch.set_cost(rt::per_element(iy, 24.0, 2.0));
   launch.execute();
 }
 
@@ -331,9 +321,8 @@ void DArray::xpay(Scalar a, const DArray& x) {
     auto xs = ctx.full<double>(ix);
     Interval iv = ctx.elem_interval(iy);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = xs[i] + av * y[i];
-    ctx.add_cost(static_cast<double>(iv.size()) * 24.0,
-                 2.0 * static_cast<double>(iv.size()));
   });
+  launch.set_cost(rt::per_element(iy, 24.0, 2.0));
   launch.execute();
 }
 
@@ -346,8 +335,8 @@ void DArray::fill(Scalar v) {
     auto x = ctx.full<double>(ia);
     Interval iv = ctx.elem_interval(ia);
     for (coord_t i = iv.lo; i < iv.hi; ++i) x[i] = vv;
-    ctx.add_cost(static_cast<double>(iv.size()) * 8.0, 0);
   });
+  launch.set_cost(rt::per_element(ia, 8.0, 0));
   launch.execute();
 }
 
@@ -372,15 +361,12 @@ Scalar DArray::reduce(const char* name, rt::ScalarRedop rop, double init,
     if (ib >= 0) {
       auto b = ctx.full<double>(ib);
       for (coord_t i = iv.lo; i < iv.hi; ++i) acc = fold(acc, a[i] * b[i]);
-      ctx.add_cost(static_cast<double>(iv.size()) * 16.0,
-                   2.0 * static_cast<double>(iv.size()));
     } else {
       for (coord_t i = iv.lo; i < iv.hi; ++i) acc = fold(acc, a[i]);
-      ctx.add_cost(static_cast<double>(iv.size()) * 8.0,
-                   static_cast<double>(iv.size()));
     }
     ctx.contribute(acc);
   });
+  launch.set_cost(ib >= 0 ? rt::per_element(ia, 16.0, 2.0) : rt::per_element(ia, 8.0, 1.0));
   rt::Future f = launch.execute();
   return {f.value, f.ready, f.poisoned};
 }
@@ -441,10 +427,12 @@ DArray DArray::matmul(const DArray& b) const {
         C[i * n + j] = acc;
       }
     }
-    double rows_here = static_cast<double>(riv.size());
-    ctx.add_cost(rows_here * static_cast<double>(k + n) * 8.0 +
-                     static_cast<double>(k) * static_cast<double>(n) * 8.0,
-                 2.0 * rows_here * static_cast<double>(k) * static_cast<double>(n));
+  });
+  launch.set_cost([=](const rt::TaskContext& ctx) {
+    const double rows_here = ctx.count(ic);
+    return rt::TaskCost{rows_here * static_cast<double>(k + n) * 8.0 +
+                            static_cast<double>(k) * static_cast<double>(n) * 8.0,
+                        2.0 * rows_here * static_cast<double>(k) * static_cast<double>(n)};
   });
   launch.execute();
   return c;

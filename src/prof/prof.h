@@ -130,12 +130,13 @@ class Recorder {
   Event& last() { return events_.back(); }
 
   /// Attach the measured wall-clock interval of the real execution backing
-  /// the most recent event (seconds since wall_epoch()). No-op when disabled
-  /// or when nothing has been recorded yet.
-  void set_last_wall(double w0, double w1) {
-    if (!enabled_ || events_.empty()) return;
-    events_.back().wall_start = w0;
-    events_.back().wall_end = w1;
+  /// event `index` (seconds since wall_epoch()). The runtime records a task
+  /// event at issue and attaches its leaf's interval once the leaf finished.
+  /// No-op when disabled or when no such event exists.
+  void set_wall(std::size_t index, double w0, double w1) {
+    if (!enabled_ || index >= events_.size()) return;
+    events_[index].wall_start = w0;
+    events_[index].wall_end = w1;
   }
 
   /// Push the most recent event's end time out to `new_end`, keeping the

@@ -20,12 +20,11 @@
 
 namespace legate::rt::detail {
 
-/// A self-contained copy of one task launch: everything needed to (a) run
-/// the leaf bodies for real on the pool and (b) replay the launch's
-/// simulated accounting later, in issue order, at a fence. Records hold
-/// StoreViews — the canonical bytes stay alive through the view's
-/// shared_ptr, but the Store's runtime-visible lifetime (release accounting)
-/// is not extended.
+/// A self-contained copy of one task launch: everything needed to account
+/// it at issue and to run its leaf bodies for real, possibly on the pool
+/// after execute() returned. Records hold StoreViews — the canonical bytes
+/// stay alive through the view's shared_ptr, but the Store's runtime-visible
+/// lifetime (release accounting) is not extended.
 struct LaunchRecord {
   std::string name;
   std::string prof_label;  ///< built at issue time (provenance is scoped)
@@ -41,6 +40,7 @@ struct LaunchRecord {
   };
   std::vector<RArg> args;
   std::function<void(TaskContext&)> leaf;
+  CostFn cost;
   std::optional<ScalarRedop> redop;
   bool has_redop{false};
   int forced_colors{-1};
@@ -52,20 +52,17 @@ struct LaunchRecord {
   std::chrono::steady_clock::time_point wall_epoch{};
 
   // -- filled by eager_solve, the one constraint solve -----------------------
-  // Partition content for every consumer: the leaves, fusion legality, and
-  // the replay's staging and accounting (which adds identities, not content).
+  // Partition content for every consumer: the leaves, the cost function,
+  // fusion legality, and the staging and accounting (which adds identities,
+  // not content).
   int colors{1};
   std::vector<PartitionRef> eager_parts;   ///< per arg; empty until solved
-  /// Per image arg: its source's write sequence at the solve (keys the image
-  /// memo for the solve and the replay alike).
-  std::vector<std::uint64_t> src_seq;
   std::vector<std::vector<Interval>> ivs;  ///< [color][arg], basis units
   std::vector<char> all_empty;             ///< per color: no real work
+  std::vector<TaskCost> costs;             ///< per color; zero where all_empty
 
   // -- filled by run_leaves (pool threads) -----------------------------------
   struct PointOut {
-    sim::Cost cost;
-    double reshape{0};
     double partial{0};
     bool contributed{false};
     double wall0{-1}, wall1{-1};  ///< measured leaf interval (profiling)
@@ -74,8 +71,11 @@ struct LaunchRecord {
   std::vector<std::exception_ptr> errors;    ///< per color; rethrown at fence
   exec::NodeRef node;                        ///< real-work node (pipelined)
 
-  // -- filled by sim_apply (replay) ------------------------------------------
+  // -- filled by sim_apply ---------------------------------------------------
   Future result;
+  /// Per color: the recorded task event to pair with the leaf's measured
+  /// interval once the leaves finished, -1 = none (profiling).
+  std::vector<std::int64_t> wall_events;
 
   [[nodiscard]] std::exception_ptr first_error() const {
     for (const auto& e : errors) {
@@ -111,14 +111,14 @@ struct EndLaunch {
 struct Mapped {
   Mapped(const sim::Machine& machine, const std::vector<double>& dep_time,
          double t_launch)
-      : completion(dep_time), max_completion(t_launch) {
+      : completion(dep_time), wall_events(dep_time.size(), -1), max_completion(t_launch) {
     for (std::size_t c = 0; c < dep_time.size(); ++c) {
       point_mem.push_back(machine.proc(static_cast<int>(c) % machine.num_procs()).mem);
     }
   }
   std::vector<int> point_mem;      ///< per color: the mapped processor's memory
   std::vector<double> completion;  ///< per color: the kernel's completion
-  std::vector<double> partials;    ///< scalar contributions, in color order
+  std::vector<std::int64_t> wall_events;  ///< per color: see LaunchRecord
   double max_completion;
   bool exhausted{false};  ///< some point ran out of retries: poison the launch
 };
@@ -127,13 +127,11 @@ struct Mapped {
 /// one of shuffle's repack kernels.
 struct PointKernel {
   int proc{0};
-  sim::Cost cost;         ///< recorded cost, before cost scaling
-  double reshape{0};      ///< CSR reshape bytes (charged on GPUs when modeled)
+  TaskCost cost;          ///< the point's cost, before cost scaling
   double gate{0};         ///< every input is present
   double interior{0};     ///< local inputs present (Overlap interior start)
   double ghost_bytes{0};  ///< ghost share of cost.bytes (> 0: Overlap may split)
   bool faults{true};      ///< draws transient faults by point sequence number
-  double wall0{-1}, wall1{-1};  ///< measured leaf interval to pair, if any
 };
 
 /// Structural image-partition computation: scan the source argument's real

@@ -3,9 +3,9 @@
 // rewrites a legal run into one fused launch, and the synthesis of the
 // fused record itself. Legality analysis is pure and lives in
 // src/fuse/fuse.cpp; everything here owns the window lifecycle and threads
-// the fused record back through the normal issue paths (sim_apply /
-// pipelined enqueue), so the simulated and real halves never special-case
-// fusion. See DESIGN.md "Task & kernel fusion".
+// the fused record back through the one issue path (sim_apply), so the
+// accounting and the leaves never special-case fusion. See DESIGN.md "Task
+// & kernel fusion".
 
 #include <algorithm>
 #include <cctype>
@@ -41,7 +41,8 @@ Future Runtime::fuse_execute(const std::shared_ptr<LaunchRecord>& R) {
   const auto elig = fuse::classify(*R);
   if (elig == fuse::Eligibility::Ineligible) {
     flush_fuse_window();
-    return issue_record(R);
+    sim_apply(R);
+    return R->result;
   }
   // Image/halo-constrained launches may only *start* a window: their eager
   // solve scans real source bytes, which open-window members could still be
@@ -49,9 +50,9 @@ Future Runtime::fuse_execute(const std::shared_ptr<LaunchRecord>& R) {
   if (elig == fuse::Eligibility::HeadOnly && !fuse_window_.empty()) {
     flush_fuse_window();
   }
-  // Every window candidate is solved at issue time, in both pipelined and
-  // sequential modes: legality needs concrete partition identities, and the
-  // fused leaf replays the children's per-point intervals. The decisions are
+  // Every window candidate is solved when offered: legality needs concrete
+  // partition identities, the fused leaf runs the children's per-point
+  // intervals and the fused cost sums their costs. The decisions are
   // structural, so they are identical at any exec thread count.
   eager_solve(*R);
   if (!fuse_window_.empty() && !fuse_tracker_->admits(*R)) {
@@ -72,33 +73,6 @@ Future Runtime::fuse_execute(const std::shared_ptr<LaunchRecord>& R) {
   return Future{};
 }
 
-Future Runtime::issue_record(const std::shared_ptr<LaunchRecord>& R) {
-  if (!pipeline_ || R->has_redop) {
-    // Scalar futures resolve immediately (a fence point); without pipelining
-    // the launch is applied in place. Leaves still run on the pool when
-    // exec_threads > 1 — intra-launch parallelism needs no deferral.
-    if (R->has_redop) drain_sim_queue();
-    sim_apply(*R, /*deferred=*/false);
-    return R->result;
-  }
-
-  // Pipelined: hand the leaf bodies to the task graph and defer every
-  // simulated effect to the fence, replayed in issue order.
-  if (R->eager_parts.empty()) eager_solve(*R);
-  enqueue_record(R);
-  sim_queue_.push_back([this, R] {
-    if (R->node) pool_->wait(R->node);
-    sim_apply(*R, /*deferred=*/true);
-  });
-  // Backstop: bound deferred state so pathological fence-free programs can't
-  // accumulate unbounded records.
-  if (sim_queue_.size() >= 1024) drain_sim_queue();
-  // Non-scalar launches return an empty future, exactly as the sequential
-  // path does on a fault-free run (poison requires fault injection, which
-  // disables pipelining).
-  return Future{};
-}
-
 void Runtime::flush_fuse_window() {
   if (fuse_flushing_ || fuse_window_.empty()) return;
   fuse_flushing_ = true;
@@ -115,8 +89,8 @@ void Runtime::flush_fuse_window() {
   }
 
   // Stores destroyed while this window was open: their release accounting
-  // was deferred (window leaves may still read their views). Replay the
-  // releases at the post-window stream position, even if the issue throws.
+  // waited (window members still use their state). Charge the releases at
+  // the post-window stream position, even if the issue throws.
   auto run_releases = [this] {
     auto rel = std::move(fuse_pending_release_);
     fuse_pending_release_.clear();
@@ -133,14 +107,14 @@ void Runtime::flush_fuse_window() {
       met_.fuse_eliminated.inc(static_cast<double>(k - 1));
       engine_->emit(sim::Ev::Fused, {}, static_cast<std::int64_t>(k),
                     static_cast<std::int64_t>(k - 1));
-      issue_record(F);
+      sim_apply(F);
       // The terminal link owns the window's scalar future (if any).
       window.back()->result = F->result;
     } else {
       if (auto& fr = engine_->flight(); fr.enabled()) {
         fr.record(diag::EventKind::FuseDecision, "passthrough", 1, 0);
       }
-      issue_record(window.front());
+      sim_apply(window.front());
     }
   } catch (...) {
     fuse_flushing_ = false;
@@ -149,37 +123,6 @@ void Runtime::flush_fuse_window() {
   }
   fuse_flushing_ = false;
   run_releases();
-}
-
-void Runtime::drain_sim_queue() {
-  if (draining_ || sim_queue_.empty()) return;
-  met_.fences.inc();  // Volatile: drain count depends on pipelining depth
-  draining_ = true;
-  long replayed = 0;
-  try {
-    while (!sim_queue_.empty()) {
-      auto fn = std::move(sim_queue_.front());
-      sim_queue_.pop_front();
-      fn();
-      ++replayed;
-    }
-  } catch (...) {
-    // Leave the remaining launches queued (a later fence continues the
-    // drain); hazard nodes may still be pending, so keep them too.
-    draining_ = false;
-    throw;
-  }
-  draining_ = false;
-  // Every queued launch waited on its node before replay, so all real work
-  // is finished: the hazard graph is fully retired.
-  hazards_.clear();
-  if (auto& fr = engine_->flight(); fr.enabled()) {
-    // Fence count depends on pipelining depth, so this is a volatile
-    // (thread-ring) event; Launch/Retire replay already charged the stable
-    // ring inside sim_apply.
-    fr.record_thread(diag::EventKind::Fence, "fence", replayed);
-    fr.progress();
-  }
 }
 
 std::shared_ptr<LaunchRecord> Runtime::make_fused_record(
@@ -220,15 +163,11 @@ std::shared_ptr<LaunchRecord> Runtime::make_fused_record(
   F->parallel_safe = true;
 
   // The fused leaf: per color, run each child's leaf over that child's own
-  // eager-solved intervals, in window (= program) order, then report the
-  // chain's combined cost with the merged-read round-trips discounted. The
-  // captured shared_ptrs keep the children's views (canonical bytes) and
-  // intervals alive even if their stores were destroyed mid-window.
-  std::vector<double> saved = std::move(plan.saved_per_color);
-  F->leaf = [children, saved](TaskContext& ctx) {
+  // eager-solved intervals, in window (= program) order. The captured
+  // shared_ptrs keep the children's views (canonical bytes) and intervals
+  // alive even if their stores were destroyed mid-window.
+  F->leaf = [children](TaskContext& ctx) {
     const int c = ctx.color();
-    double bytes = 0, flops = 0, eff = 1.0, reshape = 0, partial = 0;
-    bool contributed = false;
     for (const auto& kid : children) {
       if (kid->all_empty[static_cast<std::size_t>(c)] != 0) continue;
       TaskContext sub;
@@ -236,19 +175,25 @@ std::shared_ptr<LaunchRecord> Runtime::make_fused_record(
       sub.colors_ = ctx.colors();
       sub.rec_ = kid.get();
       kid->leaf(sub);
-      bytes += sub.cost_.bytes;
-      flops += sub.cost_.flops;
-      eff = std::min(eff, sub.cost_.efficiency);
-      reshape += sub.reshape_bytes_;
-      if (sub.contributed_) {
-        partial = sub.partial_;
-        contributed = true;
-      }
+      if (sub.contributed_) ctx.contribute(sub.partial_);
     }
-    bytes = std::max(0.0, bytes - saved[static_cast<std::size_t>(c)]);
-    ctx.add_cost(bytes, flops, eff);
-    if (reshape > 0) ctx.add_reshape_bytes(reshape);
-    if (contributed) ctx.contribute(partial);
+  };
+  // The fused cost: the children's costs (evaluated at their solves),
+  // summed in chain order at their minimum efficiency, with the merged-read
+  // round-trips discounted.
+  F->cost = [children, saved = std::move(plan.saved_per_color)](const TaskContext& ctx) {
+    const auto c = static_cast<std::size_t>(ctx.color());
+    TaskCost sum;
+    for (const auto& kid : children) {
+      if (kid->all_empty[c] != 0) continue;
+      const TaskCost& k = kid->costs[c];
+      sum.bytes += k.bytes;
+      sum.flops += k.flops;
+      sum.efficiency = std::min(sum.efficiency, k.efficiency);
+      sum.reshape += k.reshape;
+    }
+    sum.bytes = std::max(0.0, sum.bytes - saved[c]);
+    return sum;
   };
   return F;
 }

@@ -69,10 +69,9 @@ struct Runtime::Alloc {
 /// coordinates (2-D stores linearized row-major).
 struct Runtime::SyncState {
   std::vector<std::pair<Interval, double>> readers;  ///< reads since last write
-  /// The write sequence: each write draws the next version. Writes replayed
-  /// and writes issued; equal whenever the stream is fully replayed.
+  /// The write sequence: each write draws the next version. Every write is
+  /// accounted at issue, so this is also the count the solve keys images by.
   std::uint64_t version_counter{0};
-  std::uint64_t issued{0};
   /// Key partition: identity of the last partition used to write (or first
   /// used to read) this store, 0 = none. Keys are always equal splits of
   /// the store's own basis, so the color count is all reuse needs to know.

@@ -21,9 +21,8 @@ DArray reciprocal_diag(const CsrMatrix& A) {
     auto y = ctx.full<double>(io);
     Interval iv = ctx.elem_interval(io);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = x[i] != 0.0 ? 1.0 / x[i] : 0.0;
-    ctx.add_cost(static_cast<double>(iv.size()) * 16.0,
-                 static_cast<double>(iv.size()));
   });
+  launch.set_cost(rt::per_element(io, 16.0, 1.0));
   launch.execute();
   return DArray(rt, out);
 }

@@ -50,7 +50,6 @@ CooMatrix CsrMatrix::tocoo() const {
     auto ov = ctx.full<coord_t>(io);
     auto wv = ctx.full<double>(iw);
     Interval rows = ctx.interval(ip);
-    double work = 0;
     for (coord_t i = rows.lo; i < rows.hi; ++i) {
       if (e) break;
       for (coord_t j = pv[i].lo; j <= pv[i].hi; ++j) {
@@ -58,9 +57,10 @@ CooMatrix CsrMatrix::tocoo() const {
         ov[j] = cv[j];
         wv[j] = vv[j];
       }
-      work += static_cast<double>(pv[i].size());
     }
-    ctx.add_cost(work * 40.0 + static_cast<double>(rows.size()) * 16.0, 0);
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    return rt::TaskCost{ctx.count(ic) * 40.0 + ctx.count(ip) * 16.0, 0};
   });
   launch.execute();
   if (empty_) {
@@ -142,9 +142,12 @@ CscMatrix CsrMatrix::tocsc() const {
     std::copy(t.pos.begin(), t.pos.end(), ctx.full<Rect1>(op).begin());
     std::copy(t.crd.begin(), t.crd.end(), ctx.full<coord_t>(oc).begin());
     std::copy(t.vals.begin(), t.vals.end(), ctx.full<double>(ov).begin());
-    double nnzs = static_cast<double>(t.crd.size());
-    // Three passes over the data: count, scan, scatter.
-    ctx.add_cost(nnzs * 3.0 * 16.0 + static_cast<double>(rows + cols) * 16.0, nnzs);
+  });
+  // Three passes over the data: count, scan, scatter. The transposed crd
+  // holds max(nnz, 1) entries, the length of this matrix's crd store.
+  const double nnzs = static_cast<double>(nnz_store_len());
+  launch.set_cost([=](const TaskContext&) {
+    return rt::TaskCost{nnzs * 3.0 * 16.0 + static_cast<double>(rows + cols) * 16.0, nnzs};
   });
   launch.execute();
   return CscMatrix(rt, rows_, cols_, pos_t, crd_t, vals_t);
@@ -193,7 +196,6 @@ DiaMatrix CsrMatrix::todia() const {
       auto cv = ctx.full<coord_t>(ic);
       auto vv = ctx.full<double>(iv);
       Interval rows = ctx.interval(ip);
-      double work = 0;
       for (coord_t i = rows.lo; i < rows.hi; ++i) {
         for (coord_t j = pv[i].lo; j <= pv[i].hi; ++j) {
           coord_t off = cv[j] - i;
@@ -201,9 +203,10 @@ DiaMatrix CsrMatrix::todia() const {
           coord_t d = static_cast<coord_t>(it - offs.begin());
           dv[i * ndiag + d] = vv[j];
         }
-        work += static_cast<double>(pv[i].size());
       }
-      ctx.add_cost(work * 32.0, work * 8.0);
+    });
+    launch.set_cost([=](const TaskContext& ctx) {
+      return rt::TaskCost{ctx.count(ic) * 32.0, ctx.count(ic) * 8.0};
     });
     launch.execute();
   }
@@ -233,13 +236,11 @@ DArray CsrMatrix::todense() const {
     auto cv = ctx.full<coord_t>(ic);
     auto vv = ctx.full<double>(iv);
     Interval rows = ctx.interval(ip);
-    double work = 0;
     for (coord_t i = rows.lo; i < rows.hi && !e; ++i) {
       for (coord_t j = pv[i].lo; j <= pv[i].hi; ++j) dv[i * cols + cv[j]] += vv[j];
-      work += static_cast<double>(pv[i].size());
     }
-    ctx.add_cost(work * 32.0, work);
   });
+  launch.set_cost([=](const TaskContext& ctx) { return rt::TaskCost{ctx.count(ic) * 32.0, ctx.count(ic)}; });
   launch.execute();
   return out;
 }
@@ -326,9 +327,11 @@ CsrMatrix CooMatrix::tocsr() const {
   rt::TaskLauncher launch(rt, "coo_sort");
   int ir = launch.add_input(row_);
   launch.require_colors(1);
-  launch.set_leaf([=](rt::TaskContext& ctx) {
-    double nn = static_cast<double>(ctx.full<coord_t>(ir).size());
-    ctx.add_cost(nn * 24.0 * std::max(1.0, std::log2(nn)), nn * std::max(1.0, std::log2(nn)));
+  launch.set_leaf([](rt::TaskContext&) {});
+  launch.set_cost([=](const rt::TaskContext& ctx) {
+    const double nn = ctx.count(ir);
+    return rt::TaskCost{nn * 24.0 * std::max(1.0, std::log2(nn)),
+                        nn * std::max(1.0, std::log2(nn))};
   });
   launch.execute();
 
@@ -360,9 +363,8 @@ DArray CooMatrix::spmv(const DArray& x) const {
     auto xv = ctx.full<double>(ix);
     Interval ent = ctx.elem_interval(ir);
     for (coord_t j = ent.lo; j < ent.hi; ++j) yv[rv[j]] += vv[j] * xv[cv[j]];
-    ctx.add_cost(static_cast<double>(ent.size()) * 40.0,
-                 2.0 * static_cast<double>(ent.size()));
   });
+  launch.set_cost(rt::per_element(ir, 40.0, 2.0));
   launch.execute();
   return y;
 }
@@ -397,13 +399,14 @@ DArray CscMatrix::spmv(const DArray& x) const {
     auto vv = ctx.full<double>(iv);
     auto xv = ctx.full<double>(ix);
     Interval cols = ctx.interval(ip);
-    double work = 0;
     for (coord_t c = cols.lo; c < cols.hi; ++c) {
       double xc = xv[c];
       for (coord_t j = pv[c].lo; j <= pv[c].hi; ++j) yv[cv[j]] += vv[j] * xc;
-      work += static_cast<double>(pv[c].size());
     }
-    ctx.add_cost(work * 32.0 + static_cast<double>(cols.size()) * 24.0, 2.0 * work);
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    const double work = ctx.count(ic);
+    return rt::TaskCost{work * 32.0 + ctx.count(ip) * 24.0, 2.0 * work};
   });
   launch.execute();
   return y;
@@ -444,8 +447,11 @@ DArray DiaMatrix::spmv(const DArray& x) const {
       }
       yv[i] = acc;
     }
-    double work = static_cast<double>(rows.size()) * static_cast<double>(offs.size());
-    ctx.add_cost(work * 16.0 + static_cast<double>(rows.size()) * 8.0, 2.0 * work);
+  });
+  const double ndiags = static_cast<double>(offs.size());
+  launch.set_cost([=](const TaskContext& ctx) {
+    const double work = ctx.count(iy) * ndiags;
+    return rt::TaskCost{work * 16.0 + ctx.count(iy) * 8.0, 2.0 * work};
   });
   launch.execute();
   return y;

@@ -211,20 +211,19 @@ DArray CsrMatrix::spmv(const DArray& x) const {
     auto vv = ctx.full<double>(iv);
     auto xv = ctx.full<double>(ix);
     Interval rows = ctx.elem_interval(iy);
-    double local_nnz = 0;
     for (coord_t i = rows.lo; i < rows.hi; ++i) {
       double acc = 0;
       for (coord_t j = pv[i].lo; j <= pv[i].hi; ++j) acc += vv[j] * xv[cv[j]];
       yv[i] = acc;
-      local_nnz += static_cast<double>(pv[i].size());
     }
-    double touched_x = static_cast<double>(ctx.elem_interval(ix).size());
-    ctx.add_cost(static_cast<double>(rows.size()) * 24.0 + local_nnz * 16.0 +
-                     touched_x * 8.0,
-                 2.0 * local_nnz);
-    // Global-CSR pieces are rebased into a local matrix before the
-    // cuSPARSE-style call (Section 3).
-    ctx.add_reshape_bytes(local_nnz * 8.0 + static_cast<double>(rows.size()) * 16.0);
+  });
+  // A point's nonzeros are its crd image (pos rows are contiguous). Global-CSR
+  // pieces are rebased into a local matrix before the cuSPARSE-style call
+  // (Section 3): the reshape term.
+  launch.set_cost([=](const TaskContext& ctx) {
+    const double rows = ctx.count(iy), local_nnz = ctx.count(ic);
+    return rt::TaskCost{rows * 24.0 + local_nnz * 16.0 + ctx.count(ix) * 8.0,
+                        2.0 * local_nnz, 1.0, local_nnz * 8.0 + rows * 16.0};
   });
   launch.execute();
   return y;
@@ -256,7 +255,6 @@ DArray CsrMatrix::spmm(const DArray& b) const {
     auto vv = ctx.full<double>(iv);
     auto B = ctx.full<double>(ib);
     Interval rows = ctx.interval(ic_out);
-    double local_nnz = 0;
     for (coord_t i = rows.lo; i < rows.hi; ++i) {
       for (coord_t col = 0; col < k; ++col) C[i * k + col] = 0;
       for (coord_t j = pv[i].lo; j <= pv[i].hi; ++j) {
@@ -264,13 +262,13 @@ DArray CsrMatrix::spmm(const DArray& b) const {
         coord_t brow = cv[j];
         for (coord_t col = 0; col < k; ++col) C[i * k + col] += a * B[brow * k + col];
       }
-      local_nnz += static_cast<double>(pv[i].size());
     }
-    double touched_b = static_cast<double>(ctx.elem_interval(ib).size());
-    ctx.add_cost(static_cast<double>(rows.size()) * (16.0 + 8.0 * k) +
-                     local_nnz * 16.0 + touched_b * 8.0,
-                 2.0 * local_nnz * static_cast<double>(k));
-    ctx.add_reshape_bytes(local_nnz * 8.0);
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    const double local_nnz = ctx.count(icrd);
+    const double touched_b = static_cast<double>(ctx.elem_interval(ib).size());
+    return rt::TaskCost{ctx.count(ic_out) * (16.0 + 8.0 * k) + local_nnz * 16.0 + touched_b * 8.0,
+                        2.0 * local_nnz * static_cast<double>(k), 1.0, local_nnz * 8.0};
   });
   launch.execute();
   return c;
@@ -307,7 +305,6 @@ CsrMatrix CsrMatrix::sddmm(const DArray& b, const DArray& c) const {
     auto B = ctx.full<double>(ib);
     auto C = ctx.full<double>(icd);
     Interval rows = ctx.interval(ip);
-    double local_nnz = 0;
     for (coord_t i = rows.lo; i < rows.hi; ++i) {
       for (coord_t j = pv[i].lo; j <= pv[i].hi; ++j) {
         coord_t col = cv[j];
@@ -315,11 +312,13 @@ CsrMatrix CsrMatrix::sddmm(const DArray& b, const DArray& c) const {
         for (coord_t l = 0; l < k; ++l) acc += B[i * k + l] * C[l * n + col];
         O[j] = vv[j] * acc;
       }
-      local_nnz += static_cast<double>(pv[i].size());
     }
-    ctx.add_cost(local_nnz * (24.0 + 8.0 * static_cast<double>(k)) +
-                     static_cast<double>(rows.size()) * (16.0 + 8.0 * k),
-                 2.0 * local_nnz * static_cast<double>(k));
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    const double local_nnz = ctx.count(icrd);
+    return rt::TaskCost{local_nnz * (24.0 + 8.0 * static_cast<double>(k)) +
+                            ctx.count(ip) * (16.0 + 8.0 * k),
+                        2.0 * local_nnz * static_cast<double>(k)};
   });
   launch.execute();
   return with_vals(out_vals);
@@ -362,9 +361,8 @@ CsrMatrix CsrMatrix::power_values(double p) const {
     auto y = ctx.full<double>(ic);
     Interval iv = ctx.elem_interval(ic);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = std::pow(x[i], p);
-    ctx.add_cost(static_cast<double>(iv.size()) * 16.0,
-                 static_cast<double>(iv.size()) * 10.0);
   });
+  launch.set_cost(rt::per_element(ic, 16.0, 10.0));
   launch.execute();
   return with_vals(out);
 }
@@ -391,13 +389,13 @@ CsrMatrix CsrMatrix::scale_rows(const DArray& d) const {
     auto vv = ctx.full<double>(iv);
     auto ov = ctx.full<double>(io);
     Interval rows = ctx.interval(ip);
-    double local_nnz = 0;
     for (coord_t i = rows.lo; i < rows.hi; ++i) {
       for (coord_t j = pv[i].lo; j <= pv[i].hi; ++j) ov[j] = vv[j] * dv[i];
-      local_nnz += static_cast<double>(pv[i].size());
     }
-    ctx.add_cost(local_nnz * 24.0 + static_cast<double>(rows.size()) * 24.0,
-                 local_nnz);
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    const double local_nnz = ctx.count(iv);
+    return rt::TaskCost{local_nnz * 24.0 + ctx.count(ip) * 24.0, local_nnz};
   });
   launch.execute();
   return with_vals(out);
@@ -424,13 +422,13 @@ CsrMatrix CsrMatrix::scale_cols(const DArray& d) const {
     auto vv = ctx.full<double>(iv);
     auto ov = ctx.full<double>(io);
     Interval rows = ctx.interval(ip);
-    double local_nnz = 0;
     for (coord_t i = rows.lo; i < rows.hi; ++i) {
       for (coord_t j = pv[i].lo; j <= pv[i].hi; ++j) ov[j] = vv[j] * dv[cv[j]];
-      local_nnz += static_cast<double>(pv[i].size());
     }
-    ctx.add_cost(local_nnz * 32.0 + static_cast<double>(rows.size()) * 16.0,
-                 local_nnz);
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    const double local_nnz = ctx.count(ic);
+    return rt::TaskCost{local_nnz * 32.0 + ctx.count(ip) * 16.0, local_nnz};
   });
   launch.execute();
   return with_vals(out);
@@ -458,7 +456,6 @@ DArray CsrMatrix::diagonal() const {
     auto cv = ctx.full<coord_t>(ic);
     auto vv = ctx.full<double>(iv);
     Interval rows = ctx.interval(ip);
-    double local_nnz = 0;
     for (coord_t i = rows.lo; i < rows.hi; ++i) {
       double diag = 0;
       if (i < n) {
@@ -467,10 +464,11 @@ DArray CsrMatrix::diagonal() const {
         }
       }
       dv[i] = diag;
-      local_nnz += static_cast<double>(pv[i].size());
     }
-    ctx.add_cost(local_nnz * 16.0 + static_cast<double>(rows.size()) * 24.0,
-                 local_nnz);
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    const double local_nnz = ctx.count(ic);
+    return rt::TaskCost{local_nnz * 16.0 + ctx.count(ip) * 24.0, local_nnz};
   });
   launch.execute();
   return d;
@@ -489,8 +487,8 @@ DArray CsrMatrix::row_nnz() const {
     Interval rows = ctx.interval(ip);
     for (coord_t i = rows.lo; i < rows.hi; ++i)
       dv[i] = static_cast<double>(pv[i].size());
-    ctx.add_cost(static_cast<double>(rows.size()) * 24.0, 0);
   });
+  launch.set_cost(rt::per_element(ip, 24.0, 0));
   launch.execute();
   return d;
 }
@@ -512,15 +510,15 @@ DArray CsrMatrix::sum(int axis) const {
       auto pv = ctx.full<Rect1>(ip);
       auto vv = ctx.full<double>(iv);
       Interval rows = ctx.interval(ip);
-      double local_nnz = 0;
       for (coord_t i = rows.lo; i < rows.hi; ++i) {
         double acc = 0;
         for (coord_t j = pv[i].lo; j <= pv[i].hi; ++j) acc += vv[j];
         dv[i] = acc;
-        local_nnz += static_cast<double>(pv[i].size());
       }
-      ctx.add_cost(local_nnz * 8.0 + static_cast<double>(rows.size()) * 24.0,
-                   local_nnz);
+    });
+    launch.set_cost([=](const TaskContext& ctx) {
+      const double local_nnz = ctx.count(iv);
+      return rt::TaskCost{local_nnz * 8.0 + ctx.count(ip) * 24.0, local_nnz};
     });
     launch.execute();
     return d;
@@ -541,13 +539,13 @@ DArray CsrMatrix::sum(int axis) const {
     auto cv = ctx.full<coord_t>(ic);
     auto vv = ctx.full<double>(iv);
     Interval rows = ctx.interval(ip);
-    double local_nnz = 0;
     for (coord_t i = rows.lo; i < rows.hi; ++i) {
       for (coord_t j = pv[i].lo; j <= pv[i].hi; ++j) dv[cv[j]] += vv[j];
-      local_nnz += static_cast<double>(pv[i].size());
     }
-    ctx.add_cost(local_nnz * 24.0 + static_cast<double>(rows.size()) * 16.0,
-                 local_nnz);
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    const double local_nnz = ctx.count(ic);
+    return rt::TaskCost{local_nnz * 24.0 + ctx.count(ip) * 16.0, local_nnz};
   });
   launch.execute();
   return d;

@@ -65,10 +65,9 @@ Scalar CsrMatrix::count_nonzero() const {
     if (!e) {
       for (coord_t i = iv_range.lo; i < iv_range.hi; ++i) count += vv[i] != 0.0;
     }
-    ctx.add_cost(static_cast<double>(iv_range.size()) * 8.0,
-                 static_cast<double>(iv_range.size()));
     ctx.contribute(count);
   });
+  launch.set_cost(rt::per_element(iv, 8.0, 1.0));
   rt::Future f = launch.execute();
   return {f.value, f.ready};
 }
@@ -115,10 +114,10 @@ CsrMatrix filter_diagonal(const CsrMatrix& a, bool keep_lower, coord_t k) {
   int iv = launch.add_input(a.vals());
   launch.image_rects(ip, iv);
   a.apply_row_strategy(launch, ip);
-  launch.set_leaf([=](TaskContext& ctx) {
-    Interval rows = ctx.interval(ip);
-    double local = static_cast<double>(ctx.elem_interval(iv).size());
-    ctx.add_cost(local * 24.0 + static_cast<double>(rows.size()) * 16.0, local);
+  launch.set_leaf([](TaskContext&) {});
+  launch.set_cost([=](const TaskContext& ctx) {
+    const double local = ctx.count(iv);
+    return rt::TaskCost{local * 24.0 + ctx.count(ip) * 16.0, local};
   });
   launch.execute();
   return CsrMatrix::from_host(rt, a.rows(), a.cols(), indptr, indices, values);
@@ -184,18 +183,19 @@ DArray CsrMatrix::getcol(coord_t j) const {
     auto cv = ctx.full<coord_t>(ic);
     auto vv = ctx.full<double>(iv);
     Interval rows = ctx.interval(ip);
-    double work = 0;
     for (coord_t i = rows.lo; i < rows.hi; ++i) {
       double acc = 0;
       if (!e) {
         for (coord_t p = pv[i].lo; p <= pv[i].hi; ++p) {
           if (cv[p] == j) acc += vv[p];
         }
-        work += static_cast<double>(pv[i].size());
       }
       ov[i] = acc;
     }
-    ctx.add_cost(work * 16.0 + static_cast<double>(rows.size()) * 24.0, work);
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    const double work = ctx.count(ic);
+    return rt::TaskCost{work * 16.0 + ctx.count(ip) * 24.0, work};
   });
   launch.execute();
   return out;
@@ -240,14 +240,14 @@ CsrMatrix CsrMatrix::with_diagonal(const DArray& d) const {
     auto dv = ctx.full<double>(id);
     auto ov = ctx.full<double>(io);
     Interval rows = ctx.interval(ip);
-    double work = 0;
     for (coord_t i = rows.lo; i < rows.hi; ++i) {
       for (coord_t p = pv[i].lo; p <= pv[i].hi; ++p) {
         ov[p] = cv[p] == i ? dv[i] : vv[p];
       }
-      work += static_cast<double>(pv[i].size());
     }
-    ctx.add_cost(work * 32.0, work);
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    return rt::TaskCost{ctx.count(ic) * 32.0, ctx.count(ic)};
   });
   launch.execute();
   return with_vals(out);
@@ -420,7 +420,6 @@ DArray BsrMatrix::spmv(const DArray& x) const {
     auto dv = ctx.full<double>(id);
     auto xv = ctx.full<double>(ix);
     Interval brs = ctx.interval(ip);
-    double blocks = 0;
     for (coord_t br = brs.lo; br < brs.hi; ++br) {
       for (coord_t r = 0; r < bs; ++r) yv[br * bs + r] = 0.0;
       for (coord_t b = pv[br].lo; b <= pv[br].hi; ++b) {
@@ -431,14 +430,16 @@ DArray BsrMatrix::spmv(const DArray& x) const {
             acc += dv[b * bs * bs + r * bs + c] * xv[bc * bs + c];
           yv[br * bs + r] += acc;
         }
-        blocks += 1;
       }
     }
-    double bb = static_cast<double>(bs) * bs;
-    ctx.add_cost(blocks * (bb + 1) * 8.0 + static_cast<double>(brs.size()) * 16.0 +
-                     blocks * static_cast<double>(bs) * 8.0,
-                 2.0 * blocks * bb);
-    ctx.add_reshape_bytes(blocks * bb * 8.0);
+  });
+  // A point's blocks are its crd image (pos block rows are contiguous).
+  launch.set_cost([=](const TaskContext& ctx) {
+    const double blocks = ctx.count(ic);
+    const double bb = static_cast<double>(bs) * bs;
+    return rt::TaskCost{blocks * (bb + 1) * 8.0 + ctx.count(ip) * 16.0 +
+                            blocks * static_cast<double>(bs) * 8.0,
+                        2.0 * blocks * bb, 1.0, blocks * bb * 8.0};
   });
   launch.execute();
   return y;

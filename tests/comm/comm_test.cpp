@@ -342,7 +342,10 @@ TEST(CommRuntime, RepeatedReadOfOverlappingInstancesCopiesNothing) {
         for (coord_t i = iv.lo; i < iv.hi; ++i) {
           yv[i] = av[i] + (i + kHalo < kN ? hv[i + kHalo] : 0.0);
         }
-        ctx.add_cost(static_cast<double>(iv.size()) * 24.0, static_cast<double>(iv.size()));
+      });
+      launch.set_cost([=](const rt::TaskContext& ctx) {
+        const Interval iv = ctx.elem_interval(io);
+        return rt::TaskCost{static_cast<double>(iv.size()) * 24.0, static_cast<double>(iv.size())};
       });
       launch.execute();
       y = out.to_vector();

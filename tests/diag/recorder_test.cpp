@@ -267,8 +267,10 @@ void run_axpy(Runtime& rt, Store& s, double v, const char* name = "axpy") {
     auto y = ctx.full<double>(out);
     Interval iv = ctx.elem_interval(out);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] += v;
-    ctx.add_cost(static_cast<double>(iv.size()) * 16,
-                 static_cast<double>(iv.size()));
+  });
+  launch.set_cost([=](const rt::TaskContext& ctx) {
+    const Interval iv = ctx.elem_interval(out);
+    return rt::TaskCost{static_cast<double>(iv.size()) * 16, static_cast<double>(iv.size())};
   });
   launch.execute();
 }

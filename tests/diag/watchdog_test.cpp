@@ -46,7 +46,10 @@ void run_named(rt::Runtime& rt, rt::Store& s, const char* name) {
     auto y = ctx.full<double>(out);
     Interval iv = ctx.elem_interval(out);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = 1.0;
-    ctx.add_cost(static_cast<double>(iv.size()) * 8, 0);
+  });
+  launch.set_cost([=](const rt::TaskContext& ctx) {
+    const Interval iv = ctx.elem_interval(out);
+    return rt::TaskCost{static_cast<double>(iv.size()) * 8, 0};
   });
   launch.execute();
 }

@@ -43,7 +43,10 @@ void launch_fill(Runtime& rt, Store& s, double scale) {
     auto y = ctx.full<double>(out);
     Interval iv = ctx.elem_interval(out);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = static_cast<double>(i) * scale;
-    ctx.add_cost(static_cast<double>(iv.size()) * 8, 0);
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    const Interval iv = ctx.elem_interval(out);
+    return rt::TaskCost{static_cast<double>(iv.size()) * 8, 0};
   });
   launch.execute();
 }
@@ -57,7 +60,10 @@ void launch_scale(Runtime& rt, Store& s, double factor,
     auto y = ctx.full<double>(io);
     Interval iv = ctx.elem_interval(io);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] *= factor;
-    ctx.add_cost(static_cast<double>(iv.size()) * 16, iv.size());
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    const Interval iv = ctx.elem_interval(io);
+    return rt::TaskCost{static_cast<double>(iv.size()) * 16, static_cast<double>(iv.size())};
   });
   launch.execute();
 }

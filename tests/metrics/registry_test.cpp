@@ -248,7 +248,10 @@ TEST(RuntimeMetrics, SnapshotAfterWorkAndPerEngineIsolation) {
       auto y = ctx.full<double>(out);
       Interval iv = ctx.elem_interval(out);
       for (coord_t j = iv.lo; j < iv.hi; ++j) y[j] = 1.0;
-      ctx.add_cost(static_cast<double>(iv.size()) * 8, 0);
+    });
+    launch.set_cost([=](const rt::TaskContext& ctx) {
+      const Interval iv = ctx.elem_interval(out);
+      return rt::TaskCost{static_cast<double>(iv.size()) * 8, 0};
     });
     launch.execute();
   }
@@ -281,7 +284,10 @@ TEST(RuntimeMetrics, DiagMetricsRegisteredWithDocumentedStability) {
     auto y = ctx.full<double>(out);
     Interval iv = ctx.elem_interval(out);
     for (coord_t j = iv.lo; j < iv.hi; ++j) y[j] = 1.0;
-    ctx.add_cost(static_cast<double>(iv.size()) * 8, 0);
+  });
+  launch.set_cost([=](const rt::TaskContext& ctx) {
+    const Interval iv = ctx.elem_interval(out);
+    return rt::TaskCost{static_cast<double>(iv.size()) * 8, 0};
   });
   launch.execute();
   rt.fence();

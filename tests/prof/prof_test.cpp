@@ -447,7 +447,7 @@ TEST(TraceTest, EventsEmitInMonotonicTimestampOrderPerProcess) {
   r.record(Category::Kernel, t0, 2.0, 3.0, -1.0, "late");
   r.record(Category::Kernel, t1, 0.0, 1.0, -1.0, "early");
   r.record(Category::Kernel, t0, 0.5, 1.5, -1.0, "middle");
-  r.set_last_wall(0.25, 0.75);
+  r.set_wall(r.events().size() - 1, 0.25, 0.75);
   JsonValue doc = parse_json(chrome_trace_json(r));
   double last_sim = -1.0, last_wall = -1.0;
   int sim_events = 0;

@@ -59,14 +59,15 @@ Store spmv(Runtime& rt, const Csr& A, const Store& x) {
     auto vv = ctx.full<double>(iv);
     auto xv = ctx.full<double>(ix);
     Interval rows = ctx.elem_interval(iy);
-    double nnz = 0;
     for (coord_t i = rows.lo; i < rows.hi; ++i) {
       double acc = 0;
       for (coord_t j = pv[i].lo; j <= pv[i].hi; ++j) acc += vv[j] * xv[cv[j]];
       yv[i] = acc;
-      nnz += static_cast<double>(pv[i].size());
     }
-    ctx.add_cost(nnz * 24 + static_cast<double>(rows.size()) * 24, 2 * nnz);
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    const double nnz = ctx.count(ic);  // the crd image: contiguous pos rows
+    return TaskCost{nnz * 24 + ctx.count(iy) * 24, 2 * nnz};
   });
   launch.execute();
   return y;
@@ -79,7 +80,10 @@ void scale_inplace(Runtime& rt, Store& x, double s) {
     auto xv = ctx.full<double>(ix);
     Interval iv = ctx.elem_interval(ix);
     for (coord_t i = iv.lo; i < iv.hi; ++i) xv[i] *= s;
-    ctx.add_cost(static_cast<double>(iv.size()) * 16, static_cast<double>(iv.size()));
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    const Interval iv = ctx.elem_interval(ix);
+    return TaskCost{static_cast<double>(iv.size()) * 16, static_cast<double>(iv.size())};
   });
   launch.execute();
 }

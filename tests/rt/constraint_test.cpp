@@ -29,8 +29,8 @@ TEST(HaloConstraint, ExpandsAndClips) {
     auto yv = ctx.full<double>(iy);
     Interval iv = ctx.elem_interval(iy);
     for (coord_t i = iv.lo; i < iv.hi; ++i) yv[i] = 0;
-    ctx.add_cost(1, 0);
   });
+  launch.set_cost([](const TaskContext&) { return TaskCost{1, 0}; });
   launch.execute();
   rt.fence();  // leaf side-effects (captured intervals) need a drain
   EXPECT_EQ(seen[0], (Interval{0, 33}));    // [0-2, 30+3) clipped at 0
@@ -68,7 +68,10 @@ TEST(PreciseImages, SparseGatherCopiesOnlyTouchedData) {
     auto xs = ctx.full<double>(ix);
     Interval iv = ctx.elem_interval(io);
     for (coord_t i = iv.lo; i < iv.hi; ++i) ov[i] = xs[cv[i]];
-    ctx.add_cost(static_cast<double>(iv.size()) * 24.0, 0);
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    const Interval iv = ctx.elem_interval(io);
+    return TaskCost{static_cast<double>(iv.size()) * 24.0, 0};
   });
   launch.execute();
   double moved = rt.engine().stats().bytes_nvlink - nv0;
@@ -106,8 +109,8 @@ TEST(PreciseImages, BoundingAllocationStillCharged) {
     auto xs = ctx.full<double>(ix);
     Interval iv = ctx.elem_interval(io);
     for (coord_t i = iv.lo; i < iv.hi; ++i) ov[i] = xs[cv[i]];
-    ctx.add_cost(16, 0);
   });
+  launch.set_cost([](const TaskContext&) { return TaskCost{16, 0}; });
   launch.execute();
   double grew = rt.engine().used_bytes(fb) - used0;
   EXPECT_GE(grew, static_cast<double>(kN) * 8.0);  // full bounding instance
@@ -128,8 +131,8 @@ TEST(RuntimeOptions, TaskOverheadOverride) {
         auto y = ctx.full<double>(out);
         Interval iv = ctx.elem_interval(out);
         for (coord_t k = iv.lo; k < iv.hi; ++k) y[k] = 1;
-        ctx.add_cost(1, 0);
       });
+      launch.set_cost([](const TaskContext&) { return TaskCost{1, 0}; });
       launch.execute();
     }
     return rt.sim_time();
@@ -153,8 +156,8 @@ TEST(StoreReduction, ReplicatesResultEverywhere) {
       auto y = ctx.full<double>(id);
       Interval iv = ctx.elem_interval(id);
       for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = 0;
-      ctx.add_cost(1, 0);
     });
+    launch.set_cost([](const TaskContext&) { return TaskCost{1, 0}; });
     launch.execute();
   }
   for (double v : acc.span<double>()) EXPECT_DOUBLE_EQ(v, 1 + 2 + 3);
@@ -171,8 +174,8 @@ TEST(StoreReduction, ReplicatesResultEverywhere) {
     auto y = ctx.full<double>(io);
     Interval iv = ctx.elem_interval(io);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = a[0];
-    ctx.add_cost(1, 0);
   });
+  read.set_cost([](const TaskContext&) { return TaskCost{1, 0}; });
   read.execute();
   EXPECT_EQ(rt.engine().stats().copies, copies);
 }
@@ -199,8 +202,8 @@ TEST(ImageCache, RepeatedLaunchesComputeImagesOnce) {
       auto xs = ctx.full<double>(ix);
       Interval iv = ctx.elem_interval(io);
       for (coord_t i = iv.lo; i < iv.hi; ++i) ov[i] = xs[cv[i]];
-      ctx.add_cost(1, 0);
     });
+    launch.set_cost([](const TaskContext&) { return TaskCost{1, 0}; });
     launch.execute();
   };
   run();

@@ -51,7 +51,10 @@ void launch_fill(Runtime& rt, Store& s, double scale, coord_t upto = -1) {
     for (coord_t i = iv.lo; i < std::min(iv.hi, upto); ++i) {
       y[i] = static_cast<double>(i) * scale;
     }
-    ctx.add_cost(static_cast<double>(iv.size()) * 8, 0);
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    const Interval iv = ctx.elem_interval(out);
+    return TaskCost{static_cast<double>(iv.size()) * 8, 0};
   });
   launch.execute();
 }
@@ -107,7 +110,10 @@ TEST(HostBufferPool, PendingReaderKeepsDroppedStoreBuffer) {
       auto b = ctx.full<double>(out);
       Interval iv = ctx.elem_interval(out);
       for (coord_t i = iv.lo; i < iv.hi; ++i) b[i] = a[i];
-      ctx.add_cost(static_cast<double>(iv.size()) * 16, 0);
+    });
+    launch.set_cost([=](const TaskContext& ctx) {
+      const Interval iv = ctx.elem_interval(out);
+      return TaskCost{static_cast<double>(iv.size()) * 16, 0};
     });
     launch.execute();
   }

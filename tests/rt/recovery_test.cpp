@@ -24,7 +24,10 @@ Future run_fill(Runtime& rt, Store& s, double v, double bytes_per_elem = 8) {
     auto y = ctx.full<double>(out);
     Interval iv = ctx.elem_interval(out);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = v;
-    ctx.add_cost(static_cast<double>(iv.size()) * bytes_per_elem, 0);
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    const Interval iv = ctx.elem_interval(out);
+    return TaskCost{static_cast<double>(iv.size()) * bytes_per_elem, 0};
   });
   return launch.execute();
 }
@@ -38,9 +41,11 @@ Future run_sum(Runtime& rt, Store& s) {
     Interval iv = ctx.elem_interval(in);
     double acc = 0;
     for (coord_t i = iv.lo; i < iv.hi; ++i) acc += x[i];
-    ctx.add_cost(static_cast<double>(iv.size()) * 8,
-                 static_cast<double>(iv.size()));
     ctx.contribute(acc);
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    const Interval iv = ctx.elem_interval(in);
+    return TaskCost{static_cast<double>(iv.size()) * 8, static_cast<double>(iv.size())};
   });
   return launch.execute();
 }
@@ -381,7 +386,10 @@ TEST(RecoveryOverlap, SplitsOnlyFirstAttemptSuccesses) {
       for (coord_t i = iv.lo; i < iv.hi; ++i) {
         yv[i] = (i > 0 ? xv[i - 1] : 0.0) + (i + 1 < n ? xv[i + 1] : 0.0);
       }
-      ctx.add_cost(static_cast<double>(iv.size()) * 24, 0);
+    });
+    launch.set_cost([=](const TaskContext& ctx) {
+      const Interval iv = ctx.elem_interval(out);
+      return TaskCost{static_cast<double>(iv.size()) * 24, 0};
     });
     launch.execute();
     const auto snap = rt.metrics_snapshot();

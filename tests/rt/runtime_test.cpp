@@ -33,7 +33,10 @@ TEST(Runtime, FillTaskWritesAllElements) {
     auto y = ctx.full<double>(out);
     Interval iv = ctx.elem_interval(out);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = 7.0;
-    ctx.add_cost(static_cast<double>(iv.size()) * 8, 0);
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    const Interval iv = ctx.elem_interval(out);
+    return TaskCost{static_cast<double>(iv.size()) * 8, 0};
   });
   launch.execute();
   for (double x : s.span<double>()) EXPECT_DOUBLE_EQ(x, 7.0);
@@ -57,7 +60,10 @@ TEST(Runtime, AlignedBinaryOpComputesEverywhere) {
     auto z = ctx.full<double>(ic);
     Interval iv = ctx.elem_interval(ic);
     for (coord_t i = iv.lo; i < iv.hi; ++i) z[i] = x[i] + y[i];
-    ctx.add_cost(static_cast<double>(iv.size()) * 24, static_cast<double>(iv.size()));
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    const Interval iv = ctx.elem_interval(ic);
+    return TaskCost{static_cast<double>(iv.size()) * 24, static_cast<double>(iv.size())};
   });
   launch.execute();
   auto sp = c.span<double>();
@@ -77,8 +83,11 @@ TEST(Runtime, ScalarReductionSumsPartials) {
     Interval iv = ctx.elem_interval(in);
     double acc = 0;
     for (coord_t i = iv.lo; i < iv.hi; ++i) acc += x[i];
-    ctx.add_cost(static_cast<double>(iv.size()) * 8, static_cast<double>(iv.size()));
     ctx.contribute(acc);
+  });
+  launch.set_cost([=](const TaskContext& ctx) {
+    const Interval iv = ctx.elem_interval(in);
+    return TaskCost{static_cast<double>(iv.size()) * 8, static_cast<double>(iv.size())};
   });
   Future f = launch.execute();
   ASSERT_TRUE(f.valid);
@@ -97,7 +106,10 @@ TEST(Runtime, PartitionReuseAvoidsNewPartitions) {
       auto y = ctx.full<double>(out);
       Interval iv = ctx.elem_interval(out);
       for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = 1.0;
-      ctx.add_cost(static_cast<double>(iv.size()) * 8, 0);
+    });
+    launch.set_cost([=](const TaskContext& ctx) {
+      const Interval iv = ctx.elem_interval(out);
+      return TaskCost{static_cast<double>(iv.size()) * 8, 0};
     });
     launch.execute();
   };
@@ -122,8 +134,8 @@ TEST(Runtime, PartitionReuseCanBeDisabled) {
       auto y = ctx.full<double>(out);
       Interval iv = ctx.elem_interval(out);
       for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = 1.0;
-      ctx.add_cost(1, 0);
     });
+    launch.set_cost([](const TaskContext&) { return TaskCost{1, 0}; });
     launch.execute();
   };
   run_fill();
@@ -144,7 +156,10 @@ TEST(Runtime, RawDependenceSerializesTasks) {
         auto y = ctx.full<double>(out);
         Interval iv = ctx.elem_interval(out);
         for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = 1.0;
-        ctx.add_cost(static_cast<double>(iv.size()) * 8, 0);
+      });
+      w.set_cost([=](const TaskContext& ctx) {
+        const Interval iv = ctx.elem_interval(out);
+        return TaskCost{static_cast<double>(iv.size()) * 8, 0};
       });
       w.execute();
     }
@@ -156,8 +171,11 @@ TEST(Runtime, RawDependenceSerializesTasks) {
       Interval iv = ctx.elem_interval(in);
       double acc = 0;
       for (coord_t i = iv.lo; i < iv.hi; ++i) acc += x[i];
-      ctx.add_cost(static_cast<double>(iv.size()) * 8, 0);
       ctx.contribute(acc);
+    });
+    r.set_cost([=](const TaskContext& ctx) {
+      const Interval iv = ctx.elem_interval(in);
+      return TaskCost{static_cast<double>(iv.size()) * 8, 0};
     });
     return r.execute();
   };
@@ -180,9 +198,9 @@ TEST(Runtime, FutureDependenceDelaysConsumer) {
     auto y = ctx.full<double>(out);
     Interval iv = ctx.elem_interval(out);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = 0;
-    ctx.add_cost(8, 0);
     ctx.contribute(0);
   });
+  launch.set_cost([](const TaskContext&) { return TaskCost{8, 0}; });
   Future f = launch.execute();
   EXPECT_GE(f.ready, far_future);
 }
@@ -215,8 +233,8 @@ TEST(Runtime, ImageRectsBoundsFollowData) {
   launch.set_leaf([&, ic, ix](TaskContext& ctx) {
     crd_ivs[static_cast<std::size_t>(ctx.color())] = ctx.elem_interval(ic);
     x_ivs[static_cast<std::size_t>(ctx.color())] = ctx.elem_interval(ix);
-    ctx.add_cost(1, 0);
   });
+  launch.set_cost([](const TaskContext&) { return TaskCost{1, 0}; });
   launch.execute();
   rt.fence();  // leaf side-effects (captured intervals) need a drain
   EXPECT_EQ(crd_ivs[0], (Interval{0, 3}));
@@ -240,8 +258,8 @@ TEST(Runtime, BroadcastGivesWholeStoreToEachPoint) {
     auto y = ctx.full<double>(io);
     Interval iv = ctx.elem_interval(io);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = 1.0;
-    ctx.add_cost(1, 0);
   });
+  launch.set_cost([](const TaskContext&) { return TaskCost{1, 0}; });
   launch.execute();
 }
 
@@ -260,8 +278,8 @@ TEST(Runtime, StoreReductionSumsAcrossPoints) {
     auto y = ctx.full<double>(id);
     Interval iv = ctx.elem_interval(id);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = 0;
-    ctx.add_cost(1, 0);
   });
+  launch.set_cost([](const TaskContext&) { return TaskCost{1, 0}; });
   launch.execute();
   for (double x : acc.span<double>()) EXPECT_DOUBLE_EQ(x, 4.0);
 }
@@ -277,8 +295,8 @@ TEST(Runtime, SingleColorLaunchRunsOnce) {
   launch.set_leaf([&, out](TaskContext& ctx) {
     ++runs;
     EXPECT_EQ(ctx.elem_interval(out), (Interval{0, 100}));
-    ctx.add_cost(1, 0);
   });
+  launch.set_cost([](const TaskContext&) { return TaskCost{1, 0}; });
   launch.execute();
   rt.fence();  // leaf side-effects (captured counter) need a drain
   EXPECT_EQ(runs, 1);
@@ -365,8 +383,8 @@ TEST(Runtime, MoreColorsThanRowsClamps) {
     auto y = ctx.full<double>(out);
     Interval iv = ctx.elem_interval(out);
     for (coord_t i = iv.lo; i < iv.hi; ++i) y[i] = 1;
-    ctx.add_cost(1, 0);
   });
+  launch.set_cost([](const TaskContext&) { return TaskCost{1, 0}; });
   launch.execute();
   EXPECT_LE(points.load(), 3);
   for (double x : a.span<double>()) EXPECT_DOUBLE_EQ(x, 1.0);
