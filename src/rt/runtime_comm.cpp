@@ -58,6 +58,15 @@ detail::Mapped Runtime::comm_pass_b(const LaunchRecord& R,
     if (!hit) {
       comm::ExchangePlan fresh = comm_derive(R, keyed, m.point_mem);
       fresh.signature = sig;
+      // Bind only ghost-bearing stores into the invalidation index: aligned
+      // reads of rotating solver temporaries must not evict the plan when
+      // the temporary dies (see ExchangePlan::stores).
+      for (const auto& g : fresh.ghosts) {
+        fresh.stores.push_back(R.args[static_cast<std::size_t>(keyed[static_cast<std::size_t>(g.arg)])].view.id);
+      }
+      std::sort(fresh.stores.begin(), fresh.stores.end());
+      fresh.stores.erase(std::unique(fresh.stores.begin(), fresh.stores.end()),
+                         fresh.stores.end());
       plan = comm_cache_.insert(key, std::move(fresh));
     }
   } else {
@@ -184,12 +193,13 @@ comm::ExchangePlan Runtime::comm_derive(const LaunchRecord& R, const std::vector
   // Each (point, argument) pair's instance, and how many pairs read it. CPU
   // sockets on one node share their node's instances, and a later reader
   // must not re-schedule a ghost an earlier one pulls, so a shared instance
-  // keeps an overlay of its scheduled pieces. Instances are named by (mem,
-  // store, whole extent): without coalescing, two overlapping exact-extent
-  // allocations can share a lower bound.
+  // keeps the set of pieces already scheduled into it (`written` is fixed
+  // during one derivation, so a scheduled piece is always current).
+  // Instances are named by (mem, store, whole extent): without coalescing,
+  // two overlapping exact-extent allocations can share a lower bound.
   struct Instance {
     int readers{0};
-    IntervalMap<std::uint64_t> scheduled;
+    IntervalSet scheduled;
   };
   std::map<std::tuple<int, StoreId, coord_t, coord_t>, Instance> instances;
   const std::size_t nk = keyed.size();
@@ -223,21 +233,18 @@ comm::ExchangePlan Runtime::comm_derive(const LaunchRecord& R, const std::vector
         });
       };
       // The staleness walk, minus sub-pieces an earlier ghost into a shared
-      // instance already delivers at version v.
-      auto plan_stale = [&](Interval, std::uint64_t v, const std::vector<Interval>& stale) {
+      // instance already delivers.
+      auto plan_stale = [&](Interval, std::uint64_t, const std::vector<Interval>& stale) {
         for (Interval want : stale) {
           if (inst->readers == 1) {
             pull(want);
             continue;
           }
           std::vector<Interval> need;
-          inst->scheduled.for_each_in(want, [&](Interval p, std::uint64_t sv) {
-            if (sv < v) need.push_back(p);
-          });
           inst->scheduled.for_each_gap(want, [&](Interval p) { need.push_back(p); });
           for (Interval piece : need) {
             pull(piece);
-            inst->scheduled.assign(piece, v);
+            inst->scheduled.add(piece);
           }
         }
       };
@@ -249,16 +256,6 @@ comm::ExchangePlan Runtime::comm_derive(const LaunchRecord& R, const std::vector
     mem_node[static_cast<std::size_t>(m.id)] = m.node;
   }
   fresh.coalesce(R.colors, mem_node, comm_enabled());
-  // Bind only ghost-bearing stores into the invalidation index: aligned
-  // reads of rotating solver temporaries must not evict the plan when the
-  // temporary dies (see ExchangePlan::stores).
-  for (const auto& g : fresh.ghosts) {
-    const int i = keyed[static_cast<std::size_t>(g.arg)];
-    fresh.stores.push_back(R.args[static_cast<std::size_t>(i)].view.id);
-  }
-  std::sort(fresh.stores.begin(), fresh.stores.end());
-  fresh.stores.erase(std::unique(fresh.stores.begin(), fresh.stores.end()),
-                     fresh.stores.end());
   return fresh;
 }
 
