@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstring>
 
+#include "comm/comm.h"
+
 namespace legate::rt {
 
 const char* partition_strategy_name(PartitionStrategy s) {
@@ -21,6 +23,21 @@ PartitionStrategy parse_partition_strategy(const char* s) {
   if (std::strcmp(s, "nnz") == 0) return PartitionStrategy::Nnz;
   if (std::strcmp(s, "auto") == 0) return PartitionStrategy::Auto;
   return PartitionStrategy::Unset;
+}
+
+Partition::Partition(std::vector<Interval> subs, std::vector<IntervalSet> precise,
+                     bool disjoint)
+    : subs_(std::move(subs)), precise_(std::move(precise)), disjoint_(disjoint),
+      uid_(next_uid()) {
+  precise_digest_.reserve(precise_.size());
+  for (std::size_t c = 0; c < precise_.size(); ++c) {
+    comm::Hash h;
+    precise_[c].for_each(subs_.at(c), [&](Interval r) {
+      h.mix_i(r.lo);
+      h.mix_i(r.hi);
+    });
+    precise_digest_.push_back(h.digest());
+  }
 }
 
 std::uint64_t Partition::next_uid() {

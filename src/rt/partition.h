@@ -45,9 +45,7 @@ class Partition {
   Partition(std::vector<Interval> subs, bool disjoint)
       : subs_(std::move(subs)), disjoint_(disjoint), uid_(next_uid()) {}
   Partition(std::vector<Interval> subs, std::vector<IntervalSet> precise,
-            bool disjoint)
-      : subs_(std::move(subs)), precise_(std::move(precise)), disjoint_(disjoint),
-        uid_(next_uid()) {}
+            bool disjoint);
 
   /// Process-unique identity, assigned at construction. Caches key on this
   /// instead of the object address: a freed partition's address can be
@@ -72,6 +70,12 @@ class Partition {
   [[nodiscard]] const IntervalSet* precise(int color) const {
     return precise_.empty() ? nullptr : &precise_.at(static_cast<std::size_t>(color));
   }
+  /// Digest (comm::Hash of each run's lo, hi) of precise(color)'s runs
+  /// within sub(color), computed once at construction: the exchange-plan
+  /// key mixes it instead of re-walking the runs on every launch.
+  [[nodiscard]] std::uint64_t precise_digest(int color) const {
+    return precise_digest_.at(static_cast<std::size_t>(color));
+  }
 
   /// Equal block partition of [0, extent) into `colors` pieces.
   static std::shared_ptr<const Partition> equal(coord_t extent, int colors);
@@ -92,6 +96,7 @@ class Partition {
  private:
   std::vector<Interval> subs_;
   std::vector<IntervalSet> precise_;  ///< empty, or one set per color
+  std::vector<std::uint64_t> precise_digest_;  ///< one per precise set
   bool disjoint_;
   std::uint64_t uid_;
 };

@@ -112,7 +112,9 @@ std::vector<double> Runtime::comm_instances(const LaunchRecord& R,
 // (halo partitions are rebuilt every launch, pins are the caller's own).
 // Store ids are excluded too: solvers rotate temporaries each iteration
 // while the exchange structure stays fixed; the signature binds the plan to
-// the actual store states.
+// the actual store states. Precise runs enter as their partition's digest,
+// computed once per Partition: with the element interval also mixed in,
+// equal keys still mean equal runs within every point's piece.
 std::uint64_t Runtime::comm_key(const LaunchRecord& R, const std::vector<int>& keyed) const {
   comm::Hash kh;
   for (char ch : R.name) kh.mix(static_cast<std::uint64_t>(ch));
@@ -120,6 +122,7 @@ std::uint64_t Runtime::comm_key(const LaunchRecord& R, const std::vector<int>& k
   kh.mix(static_cast<std::uint64_t>(keyed.size()));
   for (int i : keyed) {
     const auto& a = R.args[static_cast<std::size_t>(i)];
+    const Partition& part = *R.eager_parts[static_cast<std::size_t>(i)];
     kh.mix(static_cast<std::uint64_t>(a.ckind));
     kh.mix_i(a.view.stride);
     kh.mix_i(a.view.basis);
@@ -127,12 +130,7 @@ std::uint64_t Runtime::comm_key(const LaunchRecord& R, const std::vector<int>& k
       Interval elem = R.elem(c, i);
       kh.mix_i(elem.lo);
       kh.mix_i(elem.hi);
-      if (const IntervalSet* pr = R.precise(c, i)) {
-        pr->for_each(elem, [&](Interval r) {
-          kh.mix_i(r.lo);
-          kh.mix_i(r.hi);
-        });
-      }
+      if (R.precise(c, i) != nullptr) kh.mix(part.precise_digest(c));
     }
   }
   return kh.digest();
@@ -151,20 +149,29 @@ std::uint64_t Runtime::comm_signature(const LaunchRecord& R, const std::vector<i
   for (int i : keyed) {
     const auto& a = R.args[static_cast<std::size_t>(i)];
     auto& ss = sync(a.view.id);
-    auto mix_runs = [&](const auto& runs, auto version, Interval r) {
-      runs.for_each_run(r, version, [&](Interval iv, std::uint64_t v) {
-        sh.mix_i(iv.lo);
-        sh.mix_i(iv.hi);
-        sh.mix(ss.version_counter - v);
-      });
-      runs.for_each_gap(r, [&](Interval iv) {
-        sh.mix_i(iv.lo);
-        sh.mix_i(iv.hi);
-        sh.mix(~0ULL);
-      });
+    // The runs and the gaps of `r`, each walk resuming where its previous
+    // one (over an earlier `r`) stopped.
+    auto mix_runs = [&](const auto& runs, auto version, Interval r, auto run_hint,
+                        auto gap_hint) {
+      runs.for_each_run(
+          r, version,
+          [&](Interval iv, std::uint64_t v) {
+            sh.mix_i(iv.lo);
+            sh.mix_i(iv.hi);
+            sh.mix(ss.version_counter - v);
+          },
+          run_hint);
+      runs.for_each_gap(
+          r,
+          [&](Interval iv) {
+            sh.mix_i(iv.lo);
+            sh.mix_i(iv.hi);
+            sh.mix(~0ULL);
+          },
+          gap_hint);
     };
     const Interval whole = a.view.extent();
-    mix_runs(ss.written(), &Written::version, whole);
+    mix_runs(ss.written(), &Written::version, whole, nullptr, nullptr);
     ss.written().for_each_run(whole, &Written::owner, [&](Interval iv, int m) {
       sh.mix_i(iv.lo);
       sh.mix_i(iv.hi);
@@ -178,8 +185,10 @@ std::uint64_t Runtime::comm_signature(const LaunchRecord& R, const std::vector<i
           staged_alloc(a.view.id, elem, point_mem[static_cast<std::size_t>(c)]);
       sh.mix_i(al.extent.lo);
       sh.mix_i(al.extent.hi);
-      for_each_touched(elem, R.precise(c, i),
-                       [&](Interval r) { mix_runs(al.held(), &Held::version, r); });
+      IntervalMap<Held>::Hint run_hint, gap_hint;
+      for_each_touched(elem, R.precise(c, i), [&](Interval r) {
+        mix_runs(al.held(), &Held::version, r, &run_hint, &gap_hint);
+      });
     }
   }
   return sh.digest();
@@ -266,6 +275,13 @@ void Runtime::comm_apply(const LaunchRecord& R, const std::vector<int>& keyed,
     return R.args[static_cast<std::size_t>(keyed[static_cast<std::size_t>(g.arg)])]
         .view.id;
   };
+  // Each keyed argument's sync state, resolved at its first ghost.
+  std::vector<SyncState*> states(keyed.size(), nullptr);
+  auto state_of = [&](const comm::Ghost& g) -> SyncState& {
+    SyncState*& s = states[static_cast<std::size_t>(g.arg)];
+    if (s == nullptr) s = &sync(store_of(g));
+    return *s;
+  };
   // A ghost lands in its point's instance, found through the point's
   // required interval (a piece alone can lie in two overlapping exact-extent
   // allocations) once per (color, arg).
@@ -276,44 +292,15 @@ void Runtime::comm_apply(const LaunchRecord& R, const std::vector<int>& keyed,
     if (a == nullptr) a = &staged_alloc(store_of(g), R.elem(g.color, keyed[ord]), g.dst_mem);
     return *a;
   };
-  // Coalesced transfers issue earliest-ready-first: links are modeled as
-  // serialized clocks, so a transfer stuck behind a late producer would
-  // convoy every transfer issued after it on the same link. Equal-readiness
-  // ties break by ring offset ((dst_node - src_node) mod N, the classic
-  // staggered all-to-all): if every source served destinations in the same
-  // ascending order, the last destination would be served last by everyone
-  // and its whole iteration chain — including its own outgoing link — would
-  // trail the fleet. All key components are deterministic, keeping the
-  // engine-op sequence reproducible. Off keeps derivation order.
-  const int nnodes = machine_.nodes();
   std::vector<double> src_ready(plan.transfers.size(), 0.0);
   for (const auto& g : plan.ghosts) {
-    src_ready[g.transfer] = latest(sync(store_of(g)).written(), g.piece, src_ready[g.transfer]);
-  }
-  struct IssueKey {
-    double ready;
-    int ring;
-    std::size_t ti;
-  };
-  std::vector<IssueKey> order;
-  order.reserve(plan.transfers.size());
-  for (std::size_t ti = 0; ti < plan.transfers.size(); ++ti) {
-    const int sn = machine_.memory(plan.transfers[ti].src_mem).node;
-    const int dn = machine_.memory(plan.transfers[ti].dst_mem).node;
-    order.push_back({src_ready[ti], (dn - sn + nnodes) % nnodes, ti});
-  }
-  if (comm_enabled()) {
-    std::stable_sort(order.begin(), order.end(), [](const IssueKey& a, const IssueKey& b) {
-      if (a.ready != b.ready) return a.ready < b.ready;
-      if (a.ring != b.ring) return a.ring < b.ring;
-      return a.ti < b.ti;
-    });
+    src_ready[g.transfer] = latest(state_of(g).written(), g.piece, src_ready[g.transfer]);
   }
   double bytes_intra = 0, bytes_nvlink = 0, bytes_ib = 0;
   std::vector<double> done(plan.transfers.size());
-  for (const auto& [ready, ring, ti] : order) {
+  auto issue = [&](std::size_t ti) {
     const auto& t = plan.transfers[ti];
-    done[ti] = engine_->copy(sim::Copy::Ghost, t.src_mem, t.dst_mem, t.bytes, ready);
+    done[ti] = engine_->copy(sim::Copy::Ghost, t.src_mem, t.dst_mem, t.bytes, src_ready[ti]);
     if (t.src_mem == t.dst_mem) {
       bytes_intra += t.bytes;
     } else if (machine_.memory(t.src_mem).node == machine_.memory(t.dst_mem).node) {
@@ -321,14 +308,68 @@ void Runtime::comm_apply(const LaunchRecord& R, const std::vector<int>& keyed,
     } else {
       bytes_ib += t.bytes;
     }
+  };
+  if (comm_enabled()) {
+    // Coalesced transfers issue earliest-ready-first: links are modeled as
+    // serialized clocks, so a transfer stuck behind a late producer would
+    // convoy every transfer issued after it on the same link. Equal-readiness
+    // ties break by ring offset ((dst_node - src_node) mod N, the classic
+    // staggered all-to-all): if every source served destinations in the same
+    // ascending order, the last destination would be served last by everyone
+    // and its whole iteration chain — including its own outgoing link — would
+    // trail the fleet. All key components are deterministic, keeping the
+    // engine-op sequence reproducible.
+    const int nnodes = machine_.nodes();
+    struct IssueKey {
+      double ready;
+      int ring;
+      std::size_t ti;
+    };
+    std::vector<IssueKey> order;
+    order.reserve(plan.transfers.size());
+    for (std::size_t ti = 0; ti < plan.transfers.size(); ++ti) {
+      const int sn = machine_.memory(plan.transfers[ti].src_mem).node;
+      const int dn = machine_.memory(plan.transfers[ti].dst_mem).node;
+      order.push_back({src_ready[ti], (dn - sn + nnodes) % nnodes, ti});
+    }
+    std::sort(order.begin(), order.end(), [](const IssueKey& a, const IssueKey& b) {
+      if (a.ready != b.ready) return a.ready < b.ready;
+      if (a.ring != b.ring) return a.ring < b.ring;
+      return a.ti < b.ti;
+    });
+    for (const IssueKey& k : order) issue(k.ti);
+  } else {
+    // Off keeps derivation order.
+    for (std::size_t ti = 0; ti < plan.transfers.size(); ++ti) issue(ti);
   }
   // Each instance now holds its ghosts, valid once their transfer landed.
+  // The derivation schedules a piece into an instance at most once, so the
+  // ghosts of one instance are disjoint: each run of consecutive ghosts
+  // into one instance is sorted and merged in one pass.
+  std::vector<std::pair<Interval, Held>> runs;
+  Alloc* into = nullptr;
+  auto flush = [&] {
+    if (into == nullptr) return;
+    auto by_lo = [](const auto& a, const auto& b) { return a.first.lo < b.first.lo; };
+    if (!std::is_sorted(runs.begin(), runs.end(), by_lo)) {
+      std::sort(runs.begin(), runs.end(), by_lo);
+    }
+    into->hold_sorted(runs);
+    runs.clear();
+  };
   for (const auto& g : plan.ghosts) {
     Alloc& al = target_of(g);
+    if (&al != into) {
+      flush();
+      into = &al;
+    }
     const double t = done[g.transfer];
-    sync(store_of(g)).written().for_each_run(
-        g.piece, &Written::version, [&](Interval iv, std::uint64_t v) { al.hold(iv, v, t); });
+    state_of(g).written().for_each_run(g.piece, &Written::version,
+                                       [&](Interval iv, std::uint64_t v) {
+                                         runs.emplace_back(iv, Held{v, t});
+                                       });
   }
+  flush();
   const double scale = engine_->cost_scale();
   met_.comm_messages.inc(static_cast<double>(plan.transfers.size()));
   if (plan.ghosts.size() > plan.transfers.size()) {
@@ -357,8 +398,9 @@ std::vector<double> Runtime::comm_gate(const LaunchRecord& R, const std::vector<
       Interval elem = R.elem(c, i);
       if (elem.empty()) continue;
       const Alloc& al = staged_alloc(a.view.id, elem, point_mem[cc]);
+      IntervalMap<Held>::Hint hint;
       for_each_touched(elem, R.precise(c, i),
-                       [&](Interval r) { gate[cc] = latest(al.held(), r, gate[cc]); });
+                       [&](Interval r) { gate[cc] = latest(al.held(), r, gate[cc], &hint); });
     }
   }
   return gate;

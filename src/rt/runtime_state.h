@@ -34,8 +34,9 @@ struct Held {
 
 /// The latest time `t` over `range` of a Written or Held map, or `floor`.
 template <typename V>
-double latest(const IntervalMap<V>& map, Interval range, double floor) {
-  map.for_each_in(range, [&](Interval, const V& v) { floor = std::max(floor, v.t); });
+double latest(const IntervalMap<V>& map, Interval range, double floor,
+              typename IntervalMap<V>::Hint* hint = nullptr) {
+  map.for_each_in(range, [&](Interval, const V& v) { floor = std::max(floor, v.t); }, hint);
   return floor;
 }
 
@@ -51,6 +52,11 @@ struct Runtime::Alloc {
   /// `iv` now holds `version`, arrived at `t`.
   void hold(Interval iv, std::uint64_t version, double t) {
     held_.assign(iv, Held{version, t});
+  }
+  /// Every run now holds its value: one merge of runs sorted by lo and
+  /// disjoint, as if each were held in turn.
+  void hold_sorted(std::span<const std::pair<Interval, Held>> runs) {
+    held_.assign_sorted(runs);
   }
   /// Coalescing: take over `old`'s data, copied in by `t`; the newest wins.
   void absorb(const Alloc& old, double t) {
@@ -115,19 +121,29 @@ void for_each_touched(Interval elem, const IntervalSet* precise, F&& fn) {
 /// The staleness walk (Section 4.2) of Pass B's derivation: for every
 /// version run `iv` of written data in `elem` (restricted to `precise`, when
 /// given), `fn(iv, v, stale)` gets the pieces of `iv` that `held` lacks at
-/// version v. `fn` may update `held` over `iv`, never `written`.
+/// version v. The runs come in increasing order, so each map's lookups
+/// resume from the previous one. `fn` runs inside the walk of `written` and
+/// must modify neither map.
 template <typename F>
 void for_each_stale(const IntervalMap<Written>& written, const IntervalMap<Held>& held,
                     Interval elem, const IntervalSet* precise, F&& fn) {
+  IntervalMap<Written>::Hint wh;
+  IntervalMap<Held>::Hint runs_h, gaps_h;
   for_each_touched(elem, precise, [&](Interval range) {
-    written.for_each_run(range, &Written::version, [&](Interval iv, std::uint64_t v) {
-      std::vector<Interval> stale;
-      held.for_each_run(iv, &Held::version, [&](Interval piece, std::uint64_t held_v) {
-        if (held_v < v) stale.push_back(piece);
-      });
-      held.for_each_gap(iv, [&](Interval gap) { stale.push_back(gap); });
-      fn(iv, v, stale);
-    });
+    written.for_each_run(
+        range, &Written::version,
+        [&](Interval iv, std::uint64_t v) {
+          std::vector<Interval> stale;
+          held.for_each_run(
+              iv, &Held::version,
+              [&](Interval piece, std::uint64_t held_v) {
+                if (held_v < v) stale.push_back(piece);
+              },
+              &runs_h);
+          held.for_each_gap(iv, [&](Interval gap) { stale.push_back(gap); }, &gaps_h);
+          fn(iv, v, stale);
+        },
+        &wh);
   });
 }
 

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <optional>
+#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -241,6 +242,148 @@ TEST_P(MergedMapDifferential, ProjectionsMatchSeparateMaps) {
 }
 
 INSTANTIATE_TEST_SUITE_P(RandomSeeds, MergedMapDifferential,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
+
+// A map over [0, domain) built by random assign/erase with values from a
+// tiny domain, so equal-valued neighbours are common.
+IntervalMap<int> random_map(Rng& rng, coord_t domain, int steps) {
+  IntervalMap<int> m;
+  for (int step = 0; step < steps; ++step) {
+    coord_t a = rng.next_coord(0, domain);
+    coord_t b = rng.next_coord(0, domain + 1);
+    if (a > b) std::swap(a, b);
+    if (rng.next_below(4) == 0) {
+      m.erase({a, b});
+    } else {
+      m.assign({a, b}, static_cast<int>(rng.next_below(3)));
+    }
+  }
+  return m;
+}
+
+// Sorted, disjoint runs over [0, domain): gaps of zero (touching runs),
+// occasional empty runs, lengths from one point to a fifth of the domain.
+std::vector<std::pair<Interval, int>> random_runs(Rng& rng, coord_t domain) {
+  std::vector<std::pair<Interval, int>> runs;
+  coord_t at = rng.next_coord(0, domain / 4 + 1);
+  while (at < domain) {
+    const coord_t len = rng.next_below(8) == 0 ? 0 : rng.next_coord(1, domain / 5 + 2);
+    const coord_t hi = std::min(domain, at + len);
+    runs.emplace_back(Interval{at, hi}, static_cast<int>(rng.next_below(3)));
+    at = hi + (rng.next_below(3) == 0 ? 0 : rng.next_coord(0, domain / 6 + 1));
+  }
+  return runs;
+}
+
+class AssignSortedProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+// assign_sorted is exactly the runs assigned one by one: same content and
+// the same canonical segments, over runs that split, cover or touch
+// existing segments and their equal-valued neighbours.
+TEST_P(AssignSortedProperty, MatchesOneByOneAssign) {
+  constexpr coord_t kDomain = 150;
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 50; ++trial) {
+    IntervalMap<int> batched = random_map(rng, kDomain, 40);
+    IntervalMap<int> serial = batched;
+    const auto runs = random_runs(rng, kDomain);
+    batched.assign_sorted(runs);
+    for (const auto& [iv, v] : runs) serial.assign(iv, v);
+    ASSERT_EQ(batched.snapshot({-1, kDomain + 1}), serial.snapshot({-1, kDomain + 1}))
+        << "trial " << trial;
+    ASSERT_EQ(batched.segment_count(), serial.segment_count()) << "trial " << trial;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, AssignSortedProperty,
+                         ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
+
+TEST(IntervalMap, AssignSortedMergesEqualNeighbours) {
+  IntervalMap<int> m;
+  m.assign({0, 10}, 1);
+  m.assign({20, 30}, 1);
+  m.assign({40, 50}, 2);
+  // Fills the gap with the neighbours' value, splits [40, 50), and touches
+  // [20, 30) with an equal run on its right.
+  const std::vector<std::pair<Interval, int>> runs{
+      {{10, 20}, 1}, {{30, 35}, 1}, {{42, 44}, 3}};
+  m.assign_sorted(runs);
+  const std::vector<std::pair<Interval, int>> want{
+      {{0, 35}, 1}, {{40, 42}, 2}, {{42, 44}, 3}, {{44, 50}, 2}};
+  EXPECT_EQ(m.snapshot({0, 50}), want);
+  EXPECT_EQ(m.segment_count(), 4u);
+}
+
+// LSR_CHECK throws std::logic_error; the map is left as it was.
+TEST(IntervalMap, AssignSortedRejectsUnsortedOrOverlappingRuns) {
+  IntervalMap<int> m;
+  m.assign({0, 10}, 1);
+  const std::vector<std::pair<Interval, int>> unsorted{{{5, 8}, 2}, {{1, 3}, 2}};
+  const std::vector<std::pair<Interval, int>> overlapping{{{1, 5}, 2}, {{4, 8}, 3}};
+  EXPECT_THROW(m.assign_sorted(unsorted), std::logic_error);
+  EXPECT_THROW(m.assign_sorted(overlapping), std::logic_error);
+  const std::vector<std::pair<Interval, int>> untouched{{{0, 10}, 1}};
+  EXPECT_EQ(m.snapshot({0, 10}), untouched);
+}
+
+template <typename Walk>
+std::vector<std::pair<Interval, int>> walk_all(const std::vector<Interval>& ranges, Walk walk) {
+  std::vector<std::pair<Interval, int>> seen;
+  for (Interval r : ranges) walk(r, seen);
+  return seen;
+}
+
+class HintedWalkProperty : public ::testing::TestWithParam<std::uint64_t> {};
+
+// Hinted walks over sorted ranges visit exactly what unhinted walks visit:
+// with the hint carried from walk to walk, and with a hint reset past the
+// answer before every walk.
+TEST_P(HintedWalkProperty, VisitsWhatUnhintedWalksVisit) {
+  constexpr coord_t kDomain = 150;
+  Rng rng(GetParam());
+  for (int trial = 0; trial < 50; ++trial) {
+    const IntervalMap<int> m = random_map(rng, kDomain, 40);
+    std::vector<Interval> ranges;
+    for (const auto& [iv, v] : random_runs(rng, kDomain)) ranges.push_back(iv);
+    using Seen = std::vector<std::pair<Interval, int>>;
+    for (int past : {0, 1}) {
+      IntervalMap<int>::Hint in_h, run_h, gap_h;
+      auto reset = [&](IntervalMap<int>::Hint& h) {
+        if (past != 0) h.pos = m.segment_count() + 3;
+      };
+      auto in = [&](Interval r, Seen& out, IntervalMap<int>::Hint* h) {
+        m.for_each_in(r, [&](Interval iv, int v) { out.emplace_back(iv, v); }, h);
+      };
+      auto run = [&](Interval r, Seen& out, IntervalMap<int>::Hint* h) {
+        m.for_each_run(r, [](int v) { return v % 2; },
+                       [&](Interval iv, int v) { out.emplace_back(iv, v); }, h);
+      };
+      auto gap = [&](Interval r, Seen& out, IntervalMap<int>::Hint* h) {
+        m.for_each_gap(r, [&](Interval iv) { out.emplace_back(iv, -1); }, h);
+      };
+      EXPECT_EQ(walk_all(ranges, [&](Interval r, Seen& o) { in(r, o, nullptr); }),
+                walk_all(ranges, [&](Interval r, Seen& o) { reset(in_h); in(r, o, &in_h); }));
+      EXPECT_EQ(walk_all(ranges, [&](Interval r, Seen& o) { run(r, o, nullptr); }),
+                walk_all(ranges, [&](Interval r, Seen& o) { reset(run_h); run(r, o, &run_h); }));
+      EXPECT_EQ(walk_all(ranges, [&](Interval r, Seen& o) { gap(r, o, nullptr); }),
+                walk_all(ranges, [&](Interval r, Seen& o) { reset(gap_h); gap(r, o, &gap_h); }));
+    }
+    // One hint shared by all three walks of each range: every lookup after
+    // the first starts past its answer.
+    IntervalMap<int>::Hint shared;
+    Seen plain, hinted;
+    for (Interval r : ranges) {
+      m.for_each_in(r, [&](Interval iv, int v) { plain.emplace_back(iv, v); });
+      m.for_each_gap(r, [&](Interval iv) { plain.emplace_back(iv, -1); });
+      m.for_each_in(r, [&](Interval iv, int v) { hinted.emplace_back(iv, v); }, &shared);
+      m.for_each_gap(r, [&](Interval iv) { hinted.emplace_back(iv, -1); }, &shared);
+    }
+    EXPECT_EQ(plain, hinted);
+    ASSERT_FALSE(HasFailure()) << "trial " << trial;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomSeeds, HintedWalkProperty,
                          ::testing::Values(1, 2, 3, 5, 8, 13, 21, 34, 55, 89));
 
 TEST(IntervalSet, Arithmetic) {
